@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/float_eq.h"
+#include "src/common/stats.h"
 #include "src/telemetry/telemetry.h"
 
 namespace mudi {
@@ -16,6 +16,7 @@ QpsMonitor::QpsMonitor(Options options) : options_(options) {
   MUDI_CHECK_GT(options_.window_ms, 0.0);
   MUDI_CHECK_GT(options_.change_threshold, 0.0);
   MUDI_CHECK_GT(options_.latency_window, 0u);
+  latencies_.reserve(options_.latency_window);
 }
 
 void QpsMonitor::EvictOld(TimeMs now) {
@@ -43,10 +44,12 @@ void QpsMonitor::RecordLatency(double latency_ms, double weight) {
   if (ExactEq(weight, 0.0) || feedback_lost_) {
     return;
   }
-  if (latencies_.size() == options_.latency_window) {
-    latencies_.pop_front();
+  if (latencies_.size() < options_.latency_window) {
+    latencies_.emplace_back(latency_ms, weight);  // within the reserved slots
+    return;
   }
-  latencies_.emplace_back(latency_ms, weight);
+  latencies_[latency_head_] = {latency_ms, weight};
+  latency_head_ = (latency_head_ + 1) % options_.latency_window;
 }
 
 double QpsMonitor::CurrentQps(TimeMs now) {
@@ -84,7 +87,7 @@ void QpsMonitor::SetFeedbackLost(bool lost, TimeMs now) {
     // serving the frozen value until a full window of fresh samples exists.
     arrivals_.clear();
     arrivals_in_window_ = 0.0;
-    latencies_.clear();
+    ClearLatencyWindow();
     stale_until_ms_ = now + options_.window_ms;
   }
 }
@@ -113,24 +116,8 @@ void QpsMonitor::AckQpsChange(TimeMs now) {
 }
 
 double QpsMonitor::P99LatencyMs() const {
-  if (latencies_.empty()) {
-    return 0.0;
-  }
-  std::vector<std::pair<double, double>> sorted(latencies_.begin(), latencies_.end());
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    total += w;
-  }
-  double target = 0.99 * total;
-  double cum = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    cum += w;
-    if (cum >= target) {
-      return lat;
-    }
-  }
-  return sorted.back().first;
+  p99_scratch_.assign(latencies_.begin(), latencies_.end());
+  return WeightedP99(p99_scratch_);
 }
 
 }  // namespace mudi

@@ -10,6 +10,7 @@
 #include <deque>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "src/sim/simulator.h"
 
@@ -49,7 +50,10 @@ class QpsMonitor {
   // Weighted P99 latency over the trailing cohort window; 0 with no samples.
   double P99LatencyMs() const;
   bool has_latency_samples() const { return !latencies_.empty(); }
-  void ClearLatencyWindow() { latencies_.clear(); }
+  void ClearLatencyWindow() {
+    latencies_.clear();
+    latency_head_ = 0;
+  }
 
   // --- feedback loss (fault injection) ---
   // While feedback is lost the monitor stops ingesting samples and freezes
@@ -76,7 +80,13 @@ class QpsMonitor {
   std::deque<std::pair<TimeMs, double>> arrivals_;  // (time, count) cohorts
   double arrivals_in_window_ = 0.0;
   double base_qps_ = -1.0;  // rate at last Ack; <0 until first Ack
-  std::deque<std::pair<double, double>> latencies_;  // (latency, weight)
+  // Latency window: a ring of options_.latency_window (latency, weight)
+  // slots, reserved up front. It fills in order; once full, each new sample
+  // overwrites the oldest one, at latency_head_.
+  std::vector<std::pair<double, double>> latencies_;
+  size_t latency_head_ = 0;
+  // Reused by P99LatencyMs, which selects in place on a copy of the window.
+  mutable std::vector<std::pair<double, double>> p99_scratch_;
   bool feedback_lost_ = false;
   double frozen_qps_ = 0.0;       // CurrentQps captured when feedback was lost
   TimeMs frozen_at_ms_ = -1.0;    // when the frozen value was last fresh

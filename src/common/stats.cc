@@ -1,6 +1,7 @@
 #include "src/common/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -48,6 +49,86 @@ double Percentile(std::vector<double> values, double p) {
   MUDI_CHECK(!values.empty());
   std::sort(values.begin(), values.end());
   return PercentileSorted(values, p);
+}
+
+double WeightedP99(std::span<std::pair<double, double>> samples) {
+  if (samples.empty()) {
+    return 0.0;
+  }
+  double total = 0.0;
+  for (const auto& [lat, w] : samples) {
+    total += w;
+  }
+  const double target = 0.99 * total;
+  // Invariant: the answer lies in [lo, hi), whose samples weigh range_w, and
+  // `below` is the weight of the samples left of lo, all smaller than
+  // anything in the range.
+  size_t lo = 0;
+  size_t hi = samples.size();
+  double below = 0.0;
+  double range_w = total;
+  while (true) {
+    // Pivot at the weighted quantile the answer sits at within the range,
+    // estimated on a strided sample: most of the range then lands on one
+    // side of it, so the partition's branches predict well and the next
+    // range is small. Any pivot taken from the range keeps the result exact.
+    constexpr size_t kSample = 15;
+    size_t n = hi - lo;
+    double pivot = samples[lo + n / 2].first;
+    if (n > kSample) {
+      // The sample, ordered by latency as it is drawn (insertion).
+      std::array<std::pair<double, double>, kSample> sample;
+      size_t stride = n / kSample;
+      double sample_w = 0.0;
+      for (size_t j = 0; j < kSample; ++j) {
+        const auto& drawn = samples[lo + j * stride + stride / 2];
+        size_t k = j;
+        for (; k > 0 && sample[k - 1].first > drawn.first; --k) {
+          sample[k] = sample[k - 1];
+        }
+        sample[k] = drawn;
+        sample_w += drawn.second;
+      }
+      double want = range_w > 0.0 ? (target - below) / range_w * sample_w : 0.0;
+      double cum = 0.0;
+      pivot = sample.back().first;
+      for (const auto& [lat, w] : sample) {
+        cum += w;
+        if (cum >= want) {
+          pivot = lat;
+          break;
+        }
+      }
+    }
+    // Partition into [lo, lt) < pivot, [lt, gt) == pivot, [gt, hi) > pivot.
+    size_t lt = lo;
+    size_t i = lo;
+    size_t gt = hi;
+    double w_less = 0.0;
+    double w_equal = 0.0;
+    while (i < gt) {
+      double v = samples[i].first;
+      if (v < pivot) {
+        w_less += samples[i].second;
+        std::swap(samples[lt++], samples[i++]);
+      } else if (v > pivot) {
+        std::swap(samples[i], samples[--gt]);
+      } else {
+        w_equal += samples[i].second;
+        ++i;
+      }
+    }
+    if (lt > lo && below + w_less >= target) {
+      hi = lt;  // already reached below the pivot
+      range_w = w_less;
+    } else if (below + w_less + w_equal >= target || gt == hi) {
+      return pivot;
+    } else {
+      below += w_less + w_equal;
+      range_w -= w_less + w_equal;
+      lo = gt;
+    }
+  }
 }
 
 std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, size_t num_points) {

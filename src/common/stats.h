@@ -5,6 +5,8 @@
 
 #include <cstddef>
 #include <deque>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace mudi {
@@ -20,6 +22,21 @@ double Percentile(std::vector<double> values, double p);
 
 // Percentile over data the caller has already sorted ascending.
 double PercentileSorted(const std::vector<double>& sorted, double p);
+
+// Weighted P99 of (latency, weight) samples: the smallest latency L whose
+// weight at or below L reaches 0.99 x the total weight; 0 for no samples.
+// The monitor and the SLO windows both judge tail latency with it.
+//
+// Runs a three-way quickselect in place, so it reorders `samples` (the
+// caller owns and reuses the buffer) and takes O(n) expected time without
+// allocating.
+//
+// Precondition: every weight is a whole number (a request count) and the
+// total stays below 2^53. Then every partial sum of weights is an exact
+// integer whatever order it is taken in, so the selection returns bit-for-bit
+// the latency a sort followed by an ascending cumulative scan would return.
+// With fractional weights the result may differ from that scan by rounding.
+double WeightedP99(std::span<std::pair<double, double>> samples);
 
 // Empirical CDF evaluated at a fixed number of points, for plotting/reporting.
 struct CdfPoint {

@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
+#include "src/common/stats.h"
 #include "src/common/wallclock.h"
 #include "src/replay/decision_recorder.h"
 #include "src/replay/probe_key.h"
@@ -21,27 +22,6 @@ constexpr int kInitialBatch = 64;
 // Queue cap as a multiple of the batching size: beyond it, oldest requests
 // are shed and counted as worst-case latency (overload).
 constexpr double kQueueCapBatches = 50.0;
-
-double WeightedP99(const std::vector<std::pair<double, double>>& samples) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::vector<std::pair<double, double>> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  double total = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    total += w;
-  }
-  double target = 0.99 * total;
-  double cum = 0.0;
-  for (const auto& [lat, w] : sorted) {
-    cum += w;
-    if (cum >= target) {
-      return lat;
-    }
-  }
-  return sorted.back().first;
-}
 
 // RAII decision scope around one policy hook: opens the recorder's decision,
 // snapshots the state the policy can observe (all devices for cluster-wide
@@ -165,6 +145,17 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
     }
     telemetry_.trace().SetThreadName(static_cast<int>(cluster_.num_devices()), "scheduler");
   }
+  if (telemetry_.enabled()) {
+    auto& metrics = telemetry_.metrics();
+    batches_counter_ = &metrics.GetCounter("serving.batches");
+    requests_counter_ = &metrics.GetCounter("serving.requests");
+    shed_counter_ = &metrics.GetCounter("serving.shed_requests");
+    batch_latency_hist_ = &metrics.GetHistogram(
+        "serving.batch_latency_ms", telemetry::MetricsRegistry::DefaultLatencyBucketsMs());
+    windows_total_counter_ = &metrics.GetCounter("slo.windows_total");
+    windows_violated_counter_ = &metrics.GetCounter("slo.windows_violated");
+    windows_violated_failure_counter_ = &metrics.GetCounter("slo.windows_violated_failure");
+  }
 }
 
 ClusterExperiment::~ClusterExperiment() = default;
@@ -201,15 +192,15 @@ double ClusterExperiment::MeasuredP99(int device_id) {
   return p99;
 }
 
-std::vector<ColocatedTraining> ClusterExperiment::ActiveColocation(const GpuDevice& dev) const {
+const std::vector<ColocatedTraining>& ClusterExperiment::ActiveColocation(const GpuDevice& dev) {
   const auto& tasks = ModelZoo::TrainingTasks();
-  std::vector<ColocatedTraining> out;
+  colocation_.clear();
   for (const auto& t : dev.trainings()) {
     if (!t.paused) {
-      out.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
+      colocation_.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
     }
   }
-  return out;
+  return colocation_;
 }
 
 InferenceLoad ClusterExperiment::CurrentInferenceLoad(int device_id) {
@@ -248,7 +239,7 @@ double ClusterExperiment::ProbeInferenceLatencyMs(int device_id, int batch,
       }
     }
   }
-  auto colocated = ActiveColocation(dev);
+  const auto& colocated = ActiveColocation(dev);
   double lat = oracle_
                    .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), batch, gpu_fraction,
                                                  colocated, probe_rng_)
@@ -515,8 +506,8 @@ void ClusterExperiment::ArrivalTick(int device_id) {
       double penalty = 10.0 * ServiceOnDevice(device_id).slo_ms;
       r.window_latencies.emplace_back(penalty, shed.count);
       r.monitor.RecordLatency(penalty, shed.count);
-      if (telemetry_.enabled()) {
-        telemetry_.metrics().GetCounter("serving.shed_requests").Increment(shed.count);
+      if (shed_counter_ != nullptr) {
+        shed_counter_->Increment(shed.count);
         MUDI_TRACE_INSTANT(&telemetry_, "serving", "shed", device_id, now,
                            telemetry::TraceArgs{telemetry::TraceArg::Num("count", shed.count)});
       }
@@ -525,6 +516,9 @@ void ClusterExperiment::ArrivalTick(int device_id) {
   }
 }
 
+// MUDI_HOT_PATH  TryStartBatch/FinishBatch run once per served batch; the
+// batch lives in its replica's inflight buffer, whose capacity is kept from
+// batch to batch, so the steady state allocates nothing here.
 void ClusterExperiment::TryStartBatch(int device_id) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
   if (r.busy || r.queue.empty()) {
@@ -557,15 +551,16 @@ void ClusterExperiment::TryStartBatch(int device_id) {
     r.timeout_event = Simulator::kInvalidEventId;
   }
 
-  // Form the batch FIFO from cohorts.
+  // Form the batch FIFO from cohorts, straight into the inflight buffer.
   double want = std::min(r.queued, static_cast<double>(target_batch));
   int actual = std::max(1, static_cast<int>(std::lround(want)));
-  std::vector<std::pair<TimeMs, double>> consumed;
+  r.inflight.clear();
   double remaining = static_cast<double>(actual);
   while (remaining > 1e-9 && !r.queue.empty()) {
     Cohort& front = r.queue.front();
     double take = std::min(front.count, remaining);
-    consumed.emplace_back(front.arrival_ms, take);
+    // NOLINTNEXTLINE(mudi-hot-path-alloc): one-way high-water-mark growth, capacity kept
+    r.inflight.emplace_back(front.arrival_ms, take);
     front.count -= take;
     r.queued -= take;
     remaining -= take;
@@ -574,7 +569,7 @@ void ClusterExperiment::TryStartBatch(int device_id) {
     }
   }
 
-  auto colocated = ActiveColocation(dev);
+  const auto& colocated = ActiveColocation(dev);
   double latency = oracle_
                        .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), actual,
                                                      dev.inference().gpu_fraction, colocated,
@@ -583,45 +578,49 @@ void ClusterExperiment::TryStartBatch(int device_id) {
                    dev.EffectiveComputeScale();
   r.busy = true;
   r.busy_start = now;
-  r.inflight = consumed;
-  r.batch_event =
-      sim_.ScheduleAfter(latency, [this, device_id, latency, consumed = std::move(consumed)] {
-        FinishBatch(device_id, latency, consumed);
-      });
+  r.batch_event = sim_.ScheduleAfter(
+      latency, [this, device_id, latency] { FinishBatch(device_id, latency); });
 }
 
-void ClusterExperiment::FinishBatch(int device_id, double latency_ms,
-                                    std::vector<std::pair<TimeMs, double>> consumed) {
+void ClusterExperiment::FinishBatch(int device_id, double latency_ms) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
   TimeMs now = sim_.Now();
   r.busy = false;
   r.batch_event = Simulator::kInvalidEventId;
-  r.inflight.clear();
   r.busy_accum_ms += now - r.busy_start;
   double batch_requests = 0.0;
-  for (const auto& [arrival, count] : consumed) {
+  for (const auto& [arrival, count] : r.inflight) {
     // End-to-end latency = queueing + batch service time.
     double e2e = now - arrival;
+    // NOLINTNEXTLINE(mudi-hot-path-alloc): one-way high-water-mark growth, capacity kept
     r.window_latencies.emplace_back(e2e, count);
     r.monitor.RecordLatency(e2e, count);
     r.latency_weighted_sum += e2e * count;
     r.served += count;
     batch_requests += count;
   }
-  if (telemetry_.enabled()) {
-    auto& metrics = telemetry_.metrics();
-    metrics.GetCounter("serving.batches").Increment();
-    metrics.GetCounter("serving.requests").Increment(batch_requests);
-    metrics.GetHistogram("serving.batch_latency_ms", telemetry::MetricsRegistry::DefaultLatencyBucketsMs())
-        .Observe(latency_ms);
+  if (batches_counter_ != nullptr) {
+    batches_counter_->Increment();
+    requests_counter_->Increment(batch_requests);
+    batch_latency_hist_->Observe(latency_ms);
+    // Re-routed cohorts keep their arrival times, so the oldest request need
+    // not be at the front.
+    TimeMs oldest_arrival = r.busy_start;
+    for (const auto& cohort : r.inflight) {
+      oldest_arrival = std::min(oldest_arrival, cohort.first);
+    }
     MUDI_TRACE_COMPLETE(&telemetry_, "serving", "batch", device_id, r.busy_start,
                         now - r.busy_start,
                         telemetry::TraceArgs{
                             telemetry::TraceArg::Num("requests", batch_requests),
-                            telemetry::TraceArg::Num("latency_ms", latency_ms)});
+                            telemetry::TraceArg::Num("latency_ms", latency_ms),
+                            telemetry::TraceArg::Num("max_wait_ms",
+                                                     r.busy_start - oldest_arrival)});
   }
+  r.inflight.clear();
   TryStartBatch(device_id);
 }
+// MUDI_HOT_PATH_END
 
 void ClusterExperiment::CloseSloWindow(int device_id) {
   Replica& r = replicas_[static_cast<size_t>(device_id)];
@@ -630,7 +629,7 @@ void ClusterExperiment::CloseSloWindow(int device_id) {
   if (r.window_latencies.empty()) {
     return;  // idle window: nothing to judge
   }
-  double p99 = WeightedP99(r.window_latencies);
+  double p99 = WeightedP99(r.window_latencies);  // reorders the window; cleared below
   ++r.windows_total;
   bool violated = p99 > ServiceOnDevice(device_id).slo_ms;
   if (violated) {
@@ -639,12 +638,12 @@ void ClusterExperiment::CloseSloWindow(int device_id) {
       ++r.windows_violated_failure;
     }
   }
-  if (telemetry_.enabled()) {
-    telemetry_.metrics().GetCounter("slo.windows_total").Increment();
+  if (windows_total_counter_ != nullptr) {
+    windows_total_counter_->Increment();
     if (violated) {
-      telemetry_.metrics().GetCounter("slo.windows_violated").Increment();
+      windows_violated_counter_->Increment();
       if (tainted) {
-        telemetry_.metrics().GetCounter("slo.windows_violated_failure").Increment();
+        windows_violated_failure_counter_->Increment();
       }
       MUDI_TRACE_INSTANT(&telemetry_, "slo", "window_violation", device_id, sim_.Now(),
                          telemetry::TraceArgs{

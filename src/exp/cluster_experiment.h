@@ -220,6 +220,8 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
     Simulator::EventId timeout_event = Simulator::kInvalidEventId;
     // In-flight batch: its completion event and the request cohorts it
     // carries, so a device failure can fail them instead of losing them.
+    // TryStartBatch forms the batch here and FinishBatch (or a failure)
+    // empties it; the capacity is kept for the next batch.
     Simulator::EventId batch_event = Simulator::kInvalidEventId;
     std::vector<std::pair<TimeMs, double>> inflight;  // (arrival, count)
     // Pending GPU% reconfiguration (shadow instance warming up).
@@ -231,7 +233,8 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
     // While the device is down its traffic fails over to surviving replicas.
     Simulator::EventId failover_event = Simulator::kInvalidEventId;
     size_t reroute_cursor = 0;  // deterministic round-robin over survivors
-    // SLO window accounting.
+    // SLO window accounting. Weights are request counts (whole numbers),
+    // which WeightedP99 needs to match a sort exactly.
     std::vector<std::pair<double, double>> window_latencies;  // (latency, weight)
     // Failure touched this window (failed/re-routed requests landed in it):
     // a violation is attributed to the fault, not to load.
@@ -262,8 +265,7 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   // --- serving path ---
   void ArrivalTick(int device_id);
   void TryStartBatch(int device_id);
-  void FinishBatch(int device_id, double latency_ms,
-                   std::vector<std::pair<TimeMs, double>> consumed);
+  void FinishBatch(int device_id, double latency_ms);
   TimeMs WaitTimeoutMs(int device_id) const;
   TimeMs ArrivalTickMs(int device_id) const;
   void CloseSloWindow(int device_id);
@@ -309,7 +311,9 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   void MonitorTick();
   void UtilSampleTick();
 
-  std::vector<ColocatedTraining> ActiveColocation(const GpuDevice& dev) const;
+  // The unpaused trainings on `dev`, in colocation_; the reference stays
+  // valid until the next call.
+  const std::vector<ColocatedTraining>& ActiveColocation(const GpuDevice& dev);
   InferenceLoad CurrentInferenceLoad(int device_id);
   void RebalanceMemory(int device_id);
 
@@ -333,6 +337,19 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   perf::LatencyStat* perf_select_stat_ = nullptr;
   perf::LatencyStat* perf_place_stat_ = nullptr;
   perf::LatencyStat* perf_qps_stat_ = nullptr;
+
+  // Serving and SLO-window metric handles, resolved once in the constructor
+  // when telemetry is enabled (null otherwise), so no batch or window close
+  // looks a metric up by name.
+  telemetry::Counter* batches_counter_ = nullptr;
+  telemetry::Counter* requests_counter_ = nullptr;
+  telemetry::Counter* shed_counter_ = nullptr;
+  telemetry::Histogram* batch_latency_hist_ = nullptr;
+  telemetry::Counter* windows_total_counter_ = nullptr;
+  telemetry::Counter* windows_violated_counter_ = nullptr;
+  telemetry::Counter* windows_violated_failure_counter_ = nullptr;
+
+  std::vector<ColocatedTraining> colocation_;  // ActiveColocation's buffer
 
   std::vector<Replica> replicas_;
   std::map<int, RunningTask> running_;          // task_id -> runtime state

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/retry.h"
+#include "src/common/float_eq.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/common/status.h"
@@ -46,6 +49,87 @@ TEST(StatsTest, P99OfUniformSequence) {
     v.push_back(static_cast<double>(i));
   }
   EXPECT_NEAR(Percentile(v, 99.0), 99.01, 0.011);
+}
+
+// The copy-and-sort weighted P99 that WeightedP99 replaced, kept as the
+// reference: sort by latency, return the first latency whose ascending
+// cumulative weight reaches 99% of the total.
+double SortedWeightedP99(std::vector<std::pair<double, double>> samples) {
+  if (samples.empty()) {
+    return 0.0;
+  }
+  std::sort(samples.begin(), samples.end());
+  double total = 0.0;
+  for (const auto& [lat, w] : samples) {
+    total += w;
+  }
+  double target = 0.99 * total;
+  double cum = 0.0;
+  for (const auto& [lat, w] : samples) {
+    cum += w;
+    if (cum >= target) {
+      return lat;
+    }
+  }
+  return samples.back().first;
+}
+
+TEST(WeightedP99Test, MatchesSortOnRandomWholeWeightsWithTies) {
+  Rng rng(20251017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Every fifth trial has unit weights and a multiple of 100 samples, so the
+    // 99% target is a whole number that a cumulative weight can hit exactly.
+    bool exact_target = trial % 5 == 0;
+    size_t n = exact_target ? 100 * static_cast<size_t>(rng.UniformInt(1, 5))
+                            : static_cast<size_t>(rng.UniformInt(1, trial % 10 == 1 ? 2000 : 80));
+    // Few distinct latencies on most trials (heavy ties), continuous on some.
+    int64_t distinct = trial % 4 == 0 ? 1000000 : rng.UniformInt(1, 12);
+    int64_t max_weight = exact_target ? 1 : trial % 3 == 0 ? 3 : 500;
+    std::vector<std::pair<double, double>> samples;
+    for (size_t i = 0; i < n; ++i) {
+      double latency = 0.25 * static_cast<double>(rng.UniformInt(0, distinct));
+      double weight = static_cast<double>(rng.UniformInt(trial % 7 == 0 ? 0 : 1, max_weight));
+      samples.emplace_back(latency, weight);
+    }
+    std::vector<std::pair<double, double>> buffer = samples;
+    double expected = SortedWeightedP99(samples);
+    double got = WeightedP99(buffer);
+    ASSERT_TRUE(ExactEq(got, expected)) << "trial " << trial << ": " << got << " vs " << expected;
+    // Selection only reorders the caller's buffer.
+    std::sort(samples.begin(), samples.end());
+    std::sort(buffer.begin(), buffer.end());
+    ASSERT_EQ(buffer, samples) << "trial " << trial;
+  }
+}
+
+TEST(WeightedP99Test, EmptyIsZero) {
+  std::vector<std::pair<double, double>> none;
+  EXPECT_TRUE(ExactEq(WeightedP99(none), 0.0));
+}
+
+TEST(WeightedP99Test, SingleSample) {
+  std::vector<std::pair<double, double>> one{{42.5, 7.0}};
+  EXPECT_TRUE(ExactEq(WeightedP99(one), 42.5));
+}
+
+TEST(WeightedP99Test, AllEqualLatencies) {
+  std::vector<std::pair<double, double>> same(300, {12.0, 3.0});
+  EXPECT_TRUE(ExactEq(WeightedP99(same), 12.0));
+}
+
+TEST(WeightedP99Test, ZeroTotalWeightReturnsSmallest) {
+  std::vector<std::pair<double, double>> zero{{9.0, 0.0}, {4.0, 0.0}, {7.0, 0.0}};
+  EXPECT_TRUE(ExactEq(WeightedP99(zero), SortedWeightedP99(zero)));
+  EXPECT_TRUE(ExactEq(WeightedP99(zero), 4.0));
+}
+
+TEST(WeightedP99Test, NinetyEightTwoBoundary) {
+  // 98% of the weight at 10 ms falls short of 99%, so the tail sample wins.
+  std::vector<std::pair<double, double>> samples{{100.0, 2.0}, {10.0, 98.0}};
+  EXPECT_TRUE(ExactEq(WeightedP99(samples), 100.0));
+  // With more weight at 10 ms, 99.8% of it sits at or below 10 ms.
+  samples = {{100.0, 2.0}, {10.0, 98.0}, {10.0, 1000.0}};
+  EXPECT_TRUE(ExactEq(WeightedP99(samples), 10.0));
 }
 
 TEST(StatsTest, EmpiricalCdfMonotone) {

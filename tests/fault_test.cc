@@ -380,6 +380,94 @@ TEST(FaultRecoveryTest, RequestsRerouteToSurvivingReplicas) {
             result.TotalWindowsViolatedFailure() + result.TotalWindowsViolatedLoad());
 }
 
+// One "serving/batch" span of a traced run.
+struct BatchSpan {
+  TimeMs start_ms = 0.0;
+  TimeMs end_ms = 0.0;
+  double requests = 0.0;
+  TimeMs max_wait_ms = 0.0;  // queueing of the batch's oldest request
+};
+
+std::vector<BatchSpan> DeviceBatches(const ClusterExperiment& experiment, int device_id) {
+  std::vector<BatchSpan> spans;
+  for (const auto& ev : experiment.telemetry_sink().trace().ChronologicalEvents()) {
+    if (ev.cat != "serving" || ev.name != "batch" || ev.tid != device_id) {
+      continue;
+    }
+    BatchSpan span;
+    span.start_ms = ev.ts_ms;
+    span.end_ms = ev.ts_ms + ev.dur_ms;
+    for (const auto& arg : ev.args) {
+      if (arg.key == "requests") {
+        span.requests = arg.number;
+      } else if (arg.key == "max_wait_ms") {
+        span.max_wait_ms = arg.number;
+      }
+    }
+    spans.push_back(span);
+  }
+  return spans;
+}
+
+TEST(FaultRecoveryTest, InFlightBatchFailsOnceAndRecoveredReplicaServesOnlyNewCohorts) {
+  if (!Telemetry::CompiledWithTracing()) {
+    GTEST_SKIP() << "tracing compiled out";
+  }
+  // Single-service cluster: device 0's queued cohorts re-route to the
+  // survivors, so the only requests that fail are the in-flight batch's.
+  ExperimentOptions options = SmallClusterOptions(0);
+  options.num_services = 1;
+  options.horizon_ms = 30.0 * kMsPerSecond;
+  options.telemetry.enabled = true;
+  options.telemetry.tracing = true;
+
+  // A fault-free run finds a device-0 batch; the failure lands mid-batch.
+  PerfOracle reference_oracle(options.oracle_seed);
+  auto reference_policy = MakePolicy("Mudi", reference_oracle);
+  ClusterExperiment reference(options, reference_policy.get());
+  reference.Run();
+  std::vector<BatchSpan> before = DeviceBatches(reference, 0);
+  size_t k = 0;
+  while (k < before.size() && before[k].start_ms < 10.0 * kMsPerSecond) {
+    ++k;
+  }
+  ASSERT_LT(k, before.size());
+  const BatchSpan inflight = before[k];
+  ASSERT_GT(inflight.requests, 0.0);
+  const TimeMs down_ms = 0.5 * (inflight.start_ms + inflight.end_ms);
+  const TimeMs up_ms = down_ms + 2.0 * kMsPerSecond;
+
+  ExperimentOptions faulty = options;
+  faulty.fault_plan.FailDevice(0, down_ms, up_ms - down_ms);
+  PerfOracle profiling_oracle(faulty.oracle_seed);
+  auto policy = MakePolicy("Mudi", profiling_oracle);
+  ClusterExperiment experiment(faulty, policy.get());
+  ExperimentResult result = experiment.Run();
+  std::vector<BatchSpan> after = DeviceBatches(experiment, 0);
+
+  // Up to the failure both runs serve device 0 identically, so the batch
+  // started at inflight.start_ms was in flight when the device failed.
+  ASSERT_GT(after.size(), k);
+  for (size_t i = 0; i < k; ++i) {
+    EXPECT_DOUBLE_EQ(after[i].start_ms, before[i].start_ms) << "batch " << i;
+    EXPECT_DOUBLE_EQ(after[i].requests, before[i].requests) << "batch " << i;
+  }
+  // Its requests are failed exactly once.
+  EXPECT_DOUBLE_EQ(result.faults.failed_requests, inflight.requests);
+  EXPECT_DOUBLE_EQ(
+      experiment.telemetry_sink().metrics().counters().at("fault.failed_requests").value(),
+      inflight.requests);
+  // No completion re-serves them: device 0 finishes nothing between the
+  // failed batch's start and its recovery, and never an empty batch.
+  for (size_t i = k; i < after.size(); ++i) {
+    EXPECT_GE(after[i].start_ms, up_ms) << "batch " << i;
+    EXPECT_GT(after[i].requests, 0.0) << "batch " << i;
+  }
+  // The recovered replica's first batch carries only cohorts that arrived
+  // after it came back.
+  EXPECT_GE(after[k].start_ms - after[k].max_wait_ms, up_ms);
+}
+
 TEST(FaultRecoveryTest, EmptyPlanLeavesFaultMetricsZero) {
   ExperimentOptions options = SmallClusterOptions(6);
   ExperimentResult result = RunMudi(options);
