@@ -69,16 +69,16 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-Status RequireString(const perf::JsonValue& root, const std::string& key) {
-  const perf::JsonValue* v = root.Find(key);
+Status RequireString(const JsonValue& root, const std::string& key) {
+  const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_string()) {
     return InvalidArgumentError("decision trace header: missing string field '" + key + "'");
   }
   return Status::Ok();
 }
 
-Status RequireNonNegativeInteger(const perf::JsonValue& root, const std::string& key) {
-  const perf::JsonValue* v = root.Find(key);
+Status RequireNonNegativeInteger(const JsonValue& root, const std::string& key) {
+  const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_number()) {
     return InvalidArgumentError("decision trace header: missing numeric field '" + key + "'");
   }
@@ -92,11 +92,11 @@ Status RequireNonNegativeInteger(const perf::JsonValue& root, const std::string&
 
 }  // namespace
 
-Status ValidateDecisionTraceHeader(const perf::JsonValue& root) {
+Status ValidateDecisionTraceHeader(const JsonValue& root) {
   if (!root.is_object()) {
     return InvalidArgumentError("decision trace header: not a JSON object");
   }
-  const perf::JsonValue* schema = root.Find("schema");
+  const JsonValue* schema = root.Find("schema");
   if (schema == nullptr || !schema->is_string() || schema->string() != kDecisionTraceSchema) {
     return InvalidArgumentError(std::string("decision trace header: schema must be '") +
                                 kDecisionTraceSchema + "'");
@@ -130,7 +130,7 @@ std::string EncodeTraceHeader(const TraceHeader& header) {
 }
 
 StatusOr<TraceHeader> DecodeTraceHeader(const std::string& line) {
-  StatusOr<perf::JsonValue> parsed = perf::ParseJson(line);
+  StatusOr<JsonValue> parsed = ParseJson(line);
   if (!parsed.ok()) {
     return Status(parsed.status().code(),
                   "decision trace header: " + parsed.status().message());

@@ -108,7 +108,7 @@ class Simulator {
   //   kCancelled entry still queued but Cancel()ed; reaped by SkipCancelled
   // This replaced two unordered_sets (live_/cancelled_): the per-event cost
   // of two hash inserts + two hash erases became two byte writes, the top
-  // hot spot found by the src/perf self-attribution (see BENCH_throughput
+  // hot spot found by the src/perf self-attribution (DESIGN.md §12.4,
   // "sim.event-state-vector"). The vector grows one byte per id ever issued
   // (ids are monotonic) — ~1 MB per million events, reset with the Simulator.
   enum class EventState : uint8_t { kDead = 0, kLive = 1, kCancelled = 2 };

@@ -1,7 +1,7 @@
 // Tests for the src/perf self-profiling subsystem: LatencyStat aggregates
 // and deterministic decimation, PerfCollector/PerfRegion semantics, the
-// memory/allocation probes, PerfReport JSON round-trips through the bundled
-// JSON checker, the BENCH_throughput.json schema validator, and the
+// memory/allocation probes, PerfReport JSON round-trips through the shared
+// JSON reader (src/common/json), the BENCH_throughput.json schema validator, and the
 // MUDI_BENCH_SCALE parser. This binary links mudi_perf_alloc_hook, so the
 // allocation probe runs in its hooked configuration here.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/json.h"
 #include "src/perf/json_check.h"
 #include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
@@ -294,6 +295,8 @@ TEST(JsonCheckTest, ParsesScalarsArraysObjects) {
   EXPECT_TRUE(doc->Find("b")->Find("c")->boolean());
   EXPECT_TRUE(doc->Find("b")->Find("d")->is_null());
   EXPECT_EQ(doc->Find("e")->string(), "s");
+  // Nesting up to the depth cap parses.
+  EXPECT_TRUE(ParseJson(std::string(64, '[') + std::string(64, ']')).ok());
 }
 
 TEST(JsonCheckTest, RejectsMalformedInput) {
@@ -303,6 +306,21 @@ TEST(JsonCheckTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"unterminated").ok());
   EXPECT_FALSE(ParseJson("{} trailing").ok());
   EXPECT_FALSE(ParseJson("nul").ok());
+  EXPECT_FALSE(ParseJson(R"("\uZZZZ")").ok());
+  EXPECT_FALSE(ParseJson(R"("\u12")").ok());
+  EXPECT_FALSE(ParseJson(R"("\ud83d")").ok());  // unpaired high surrogate
+  EXPECT_FALSE(ParseJson(R"("\ude00")").ok());  // unpaired low surrogate
+  EXPECT_FALSE(ParseJson(std::string(100000, '[')).ok());
+}
+
+TEST(JsonCheckTest, KeepsMemberOrderAndDecodesUnicodeEscapes) {
+  StatusOr<JsonValue> doc =
+      ParseJson(R"({"z": 1, "a": 2, "m": "\u0001\u00e9\u20ac\ud83d\ude00"})");
+  ASSERT_TRUE(doc.ok()) << doc.status().message();
+  ASSERT_EQ(doc->object().size(), 3u);
+  EXPECT_EQ(doc->object()[0].first, "z");
+  EXPECT_EQ(doc->object()[1].first, "a");
+  EXPECT_EQ(doc->Find("m")->string(), "\x01\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
 }
 
 TEST(JsonCheckTest, ReportsLineInParseErrors) {
@@ -321,10 +339,6 @@ std::string GoodBenchJson() {
        "events_fired": 5, "events_scheduled": 6, "events_cancelled": 1,
        "events_per_sec": 500.0, "sim_seconds_per_wall_second": 10.0,
        "decision_latency_ms": {"count": 3, "p50": 0.1, "p95": 0.2, "p99": 0.3, "max": 0.4}}
-    ],
-    "optimizations": [
-      {"name": "sim.event-state-vector",
-       "before_events_per_sec": 1.0, "after_events_per_sec": 2.0, "speedup": 2.0}
     ]
   })";
 }
@@ -352,7 +366,7 @@ TEST(BenchSchemaTest, RejectsWrongSchemaTag) {
 
 TEST(BenchSchemaTest, RejectsEmptyRecords) {
   ExpectInvalid(R"({"schema": "mudi.bench_throughput.v1", "build": {},
-                    "records": [], "optimizations": []})",
+                    "records": []})",
                 "'records' is empty");
 }
 
@@ -362,22 +376,6 @@ TEST(BenchSchemaTest, RejectsMissingDecisionLatency) {
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, std::strlen("\"decision_latency_ms\""), "\"renamed\"");
   ExpectInvalid(json, "decision_latency_ms");
-}
-
-TEST(BenchSchemaTest, RejectsMissingOptimizations) {
-  std::string json = GoodBenchJson();
-  size_t pos = json.find("\"optimizations\"");
-  json.replace(pos, std::strlen("\"optimizations\""), "\"optimisations\"");
-  ExpectInvalid(json, "optimizations");
-}
-
-TEST(BenchSchemaTest, RejectsEmptyOptimizations) {
-  std::string json = GoodBenchJson();
-  size_t start = json.find("\"optimizations\": [");
-  size_t open = json.find('[', start);
-  size_t close = json.find(']', open);
-  json.erase(open + 1, close - open - 1);
-  ExpectInvalid(json, "'optimizations' is empty");
 }
 
 TEST(BenchSchemaTest, RejectsNonNumericMetric) {

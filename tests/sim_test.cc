@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -444,6 +450,138 @@ TEST(SimulatorTest, ArenaReusesSlotsAfterCancel) {
   // 1000 rounds x 2 events touched only a handful of distinct slots.
   EXPECT_EQ(sim.arena_slabs(), 1u);
   EXPECT_LE(sim.arena_high_water(), 4u);
+}
+
+// Reference engine for the differential test below: the binary-heap design
+// the simulator had before its calendar queue and event arena (DESIGN.md
+// §12). Events fire in (time, scheduling order); a cancelled event is
+// forgotten and its heap entry skipped when it surfaces.
+class ReferenceEngine {
+ public:
+  using EventId = uint64_t;
+
+  double Now() const { return now_; }
+
+  EventId ScheduleAt(double t, std::function<void()> cb) {
+    EventId id = next_id_++;
+    heap_.push({t, id});
+    pending_[id] = std::move(cb);
+    return id;
+  }
+
+  bool Cancel(EventId id) { return pending_.erase(id) > 0; }
+
+  void RunUntilIdle() {
+    while (!heap_.empty()) {
+      auto [t, id] = heap_.top();
+      heap_.pop();
+      auto it = pending_.find(id);
+      if (it == pending_.end()) {
+        continue;
+      }
+      std::function<void()> cb = std::move(it->second);
+      pending_.erase(it);
+      now_ = t;
+      cb();
+    }
+  }
+
+ private:
+  using Entry = std::pair<double, EventId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
+  std::map<EventId, std::function<void()>> pending_;
+  double now_ = 0.0;
+  EventId next_id_ = 1;
+};
+
+// One seeded stream of schedules and cancels, some issued from inside firing
+// callbacks, replayed against an engine. The log holds every firing as
+// (time, label) and every cancel as (time, -1 if it took effect else -2).
+template <typename Engine>
+class EngineScenario {
+ public:
+  using Log = std::vector<std::pair<double, int>>;
+
+  explicit EngineScenario(uint64_t seed) : rng_(seed) {}
+
+  Log Run() {
+    // Sparse streams let the calendar run empty, so far-future events are
+    // also served straight from the overflow heap.
+    int64_t initial = rng_.UniformInt(1, 300);
+    for (int64_t i = 0; i < initial; ++i) {
+      Schedule();
+    }
+    for (int64_t i = 0; i < initial / 5; ++i) {
+      CancelRandom();
+    }
+    engine_.RunUntilIdle();
+    return log_;
+  }
+
+ private:
+  // Mixes exact ties (zero delays, and absolute 500 ms and 100 s grids that
+  // events scheduled at different times land on), sub-millisecond delays
+  // that insert into the 1 ms bucket being drained, spreads wider than the
+  // 8192-bucket calendar window, and far-future times that take the
+  // overflow heap and force base advances.
+  double NextTime() {
+    double now = engine_.Now();
+    double u = rng_.Uniform();
+    if (u < 0.1) {
+      return now;
+    }
+    if (u < 0.2) {
+      return now + rng_.Uniform(0.0, 2.0);
+    }
+    if (u < 0.45) {
+      return Grid(now, 500.0) + 500.0 * static_cast<double>(rng_.UniformInt(0, 80));
+    }
+    if (u < 0.85) {
+      return now + rng_.Uniform(0.0, 20000.0);
+    }
+    return Grid(now, 1e5) + 1e5 * static_cast<double>(rng_.UniformInt(1, 10));
+  }
+
+  static double Grid(double t, double step) { return std::ceil(t / step) * step; }
+
+  void Schedule() {
+    int label = static_cast<int>(ids_.size());
+    ids_.push_back(engine_.ScheduleAt(NextTime(), [this, label] { Fire(label); }));
+  }
+
+  void CancelRandom() {
+    size_t victim = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(ids_.size()) - 1));
+    log_.emplace_back(engine_.Now(), engine_.Cancel(ids_[victim]) ? -1 : -2);
+  }
+
+  void Fire(int label) {
+    log_.emplace_back(engine_.Now(), label);
+    if (ids_.size() < 3000 && rng_.Uniform() < 0.6) {
+      Schedule();
+    }
+    if (rng_.Uniform() < 0.2) {
+      CancelRandom();
+    }
+  }
+
+  Engine engine_;
+  Rng rng_;
+  std::vector<typename Engine::EventId> ids_;
+  Log log_;
+};
+
+// Differential check of the calendar queue + arena against the heap
+// reference: the exact firing order, times and cancel outcomes must match.
+TEST(SimulatorTest, MatchesPriorityQueueReference) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    auto actual = EngineScenario<Simulator>(seed).Run();
+    auto expected = EngineScenario<ReferenceEngine>(seed).Run();
+    auto [got, want] =
+        std::mismatch(actual.begin(), actual.end(), expected.begin(), expected.end());
+    EXPECT_TRUE(got == actual.end() && want == expected.end())
+        << "seed " << seed << ": first divergence at entry " << (want - expected.begin())
+        << " of " << expected.size() << " (simulator logged " << actual.size() << ")";
+  }
 }
 
 }  // namespace

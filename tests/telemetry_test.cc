@@ -3,6 +3,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/exp/cluster_experiment.h"
@@ -164,9 +165,11 @@ TraceRecorder MakeSampleRecorder() {
   recorder.SetThreadName(1, "gpu1");
   recorder.Complete("serving", "batch", 0, 10.0, 5.5,
                     TraceArgs{TraceArg::Num("requests", 32.0)});
+  // Args out of key order, and text with a control character the Chrome
+  // export writes as a \u escape: readers must keep both as recorded.
   recorder.Instant("placement", "place", 1, 12.25,
-                   TraceArgs{TraceArg::Num("task_id", 7.0),
-                             TraceArg::Str("type", "ResNet50 \"quoted\"\n")});
+                   TraceArgs{TraceArg::Str("type", "ResNet50 \"quoted\"\n\x01"),
+                             TraceArg::Num("task_id", 7.0)});
   recorder.Counter("sm_util", 0, 20.0, 0.75);
   return recorder;
 }
@@ -195,8 +198,12 @@ void ExpectSampleTrace(const ParsedTrace& trace) {
   EXPECT_EQ(instant.tid, 1);
   EXPECT_NEAR(instant.ts_ms, 12.25, 1e-9);
   ASSERT_EQ(instant.args.size(), 2u);
-  EXPECT_FALSE(instant.args[1].is_number);
-  EXPECT_EQ(instant.args[1].text, "ResNet50 \"quoted\"\n");  // escaping survives
+  EXPECT_EQ(instant.args[0].key, "type");  // recorded order, not key order
+  EXPECT_FALSE(instant.args[0].is_number);
+  EXPECT_EQ(instant.args[0].text, "ResNet50 \"quoted\"\n\x01");  // escaping survives
+  EXPECT_EQ(instant.args[1].key, "task_id");
+  EXPECT_TRUE(instant.args[1].is_number);
+  EXPECT_NEAR(instant.args[1].number, 7.0, 1e-9);
 
   const TraceEvent& counter = trace.events[2];
   EXPECT_EQ(counter.phase, telemetry::kPhaseCounter);
@@ -244,6 +251,86 @@ TEST(TraceRecorderTest, DroppedCountSurvivesExport) {
   ASSERT_TRUE(telemetry::ParseChromeTraceJson(is, &trace, &error)) << error;
   EXPECT_EQ(trace.dropped_events, 3u);
   EXPECT_EQ(trace.total_recorded, 5u);
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt Chrome-trace input: rejected with an error, never a crash
+// ---------------------------------------------------------------------------
+
+std::string SampleChromeJson() {
+  std::ostringstream os;
+  MakeSampleRecorder().ExportChromeJson(os);
+  return os.str();
+}
+
+// Parses `json` as a Chrome trace; returns whether it was accepted and
+// checks that a rejection always carries an error message.
+bool ParsesAsChromeTrace(const std::string& json) {
+  std::istringstream is(json);
+  ParsedTrace trace;
+  std::string error;
+  bool ok = telemetry::ParseChromeTraceJson(is, &trace, &error);
+  EXPECT_TRUE(ok || !error.empty()) << "rejected without an error message";
+  return ok;
+}
+
+TEST(TraceReaderTest, RejectsDeepNesting) {
+  EXPECT_FALSE(ParsesAsChromeTrace(std::string(100000, '[')));
+}
+
+TEST(TraceReaderTest, RejectsCorruptFields) {
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"batch\"", "\"ba\\uZZZZtch\""},       // not a \u escape
+      {"\"tid\":1,", "\"tid\":1e300,"},         // lane id does not fit an int
+      {"\"pid\":0,\"tid\":0,\"ts", "\"pid\":-3e9,\"tid\":0,\"ts"},
+      {"\"droppedEvents\":0", "\"droppedEvents\":-1"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string json = SampleChromeJson();
+    size_t pos = json.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    json.replace(pos, from.size(), to);
+    EXPECT_FALSE(ParsesAsChromeTrace(json)) << to;
+  }
+}
+
+TEST(TraceReaderTest, RejectsTruncatedExport) {
+  std::string json = SampleChromeJson();
+  ASSERT_TRUE(ParsesAsChromeTrace(json));
+  // Every prefix that stops short of the closing brace is incomplete.
+  size_t last_brace = json.rfind('}');
+  for (size_t n = 0; n <= last_brace; n += 7) {
+    EXPECT_FALSE(ParsesAsChromeTrace(json.substr(0, n))) << "prefix of " << n << " bytes";
+  }
+}
+
+TEST(TraceReaderTest, SurvivesFlippedBytes) {
+  const std::string json = SampleChromeJson();
+  bool in_string = false;
+  bool escaped = false;
+  for (size_t i = 0; i < json.size(); ++i) {
+    // A byte inside a string literal may flip into another valid string, so
+    // there the reader only has to stay well-behaved. Anywhere else a byte
+    // with its high bit flipped is not JSON and must be rejected.
+    char c = json[i];
+    bool string_content = in_string && (escaped || c != '"');
+    if (!in_string) {
+      in_string = c == '"';
+    } else if (escaped) {
+      escaped = false;
+    } else {
+      escaped = c == '\\';
+      in_string = c != '"';
+    }
+    for (unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = json;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      bool ok = ParsesAsChromeTrace(flipped);
+      if (mask == 0x80 && !string_content) {
+        EXPECT_FALSE(ok) << "flipped byte " << i << " of:\n" << json;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
