@@ -3,7 +3,9 @@
 // internally seeded), so a fit keyed by a fingerprint of exactly those inputs
 // can be reused across repeated `policy.initialize` calls, re-tunes, and
 // runs that profile identical curves — which is what makes warm Mudi runs
-// skip the ~2 s model-selection bill entirely (see DESIGN.md §12).
+// skip the model-selection bill entirely. Cold, that bill is about 2.1 s of
+// CPU for the smoke preset's Initialize in an -O2 build (0.53 s of wall time
+// with four fit threads on a 4-vCPU x86-64 VM); see DESIGN.md §12.3, §12.5.
 #ifndef SRC_ML_FIT_CACHE_H_
 #define SRC_ML_FIT_CACHE_H_
 

@@ -32,8 +32,11 @@ class MlpRegressor : public Regressor {
   FeatureScaler scaler_;
   double y_mean_ = 0.0;
   double y_scale_ = 1.0;
-  // Weights: hidden layer (h × d) + bias (h), output layer (h) + bias.
-  std::vector<std::vector<double>> w1_;
+  size_t d_ = 0;  // input features
+  // Weights: hidden layer (h × d, row-major) + bias (h), output layer (h) +
+  // bias. Flat so the Adam update runs over contiguous memory (DESIGN.md
+  // §12.5).
+  std::vector<double> w1_;
   std::vector<double> b1_;
   std::vector<double> w2_;
   double b2_ = 0.0;

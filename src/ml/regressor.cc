@@ -33,12 +33,16 @@ void FeatureScaler::Fit(const std::vector<std::vector<double>>& x) {
 }
 
 std::vector<double> FeatureScaler::Transform(const std::vector<double>& x) const {
-  MUDI_CHECK_EQ(x.size(), mean_.size());
   std::vector<double> out(x.size());
+  TransformInto(x, out.data());
+  return out;
+}
+
+void FeatureScaler::TransformInto(const std::vector<double>& x, double* out) const {
+  MUDI_CHECK_EQ(x.size(), mean_.size());
   for (size_t j = 0; j < x.size(); ++j) {
     out[j] = (x[j] - mean_[j]) * inv_std_[j];
   }
-  return out;
 }
 
 std::vector<std::vector<double>> FeatureScaler::TransformAll(

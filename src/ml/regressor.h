@@ -33,6 +33,8 @@ class FeatureScaler {
  public:
   void Fit(const std::vector<std::vector<double>>& x);
   std::vector<double> Transform(const std::vector<double>& x) const;
+  // Transform(x) written to out[0 .. x.size()).
+  void TransformInto(const std::vector<double>& x, double* out) const;
   std::vector<std::vector<double>> TransformAll(const std::vector<std::vector<double>>& x) const;
   bool fitted() const { return !mean_.empty(); }
 

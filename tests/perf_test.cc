@@ -1,9 +1,10 @@
 // Tests for the src/perf self-profiling subsystem: LatencyStat aggregates
 // and deterministic decimation, PerfCollector/PerfRegion semantics, the
 // memory/allocation probes, PerfReport JSON round-trips through the shared
-// JSON reader (src/common/json), the BENCH_throughput.json schema validator, and the
-// MUDI_BENCH_SCALE parser. This binary links mudi_perf_alloc_hook, so the
-// allocation probe runs in its hooked configuration here.
+// JSON reader (src/common/json), the BENCH_throughput.json schema validator, the
+// MUDI_BENCH_SCALE parser, and the fit kernels' allocation bounds. This binary
+// links mudi_perf_alloc_hook, so the allocation probes run in their hooked
+// configuration here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,9 @@
 
 #include "bench/bench_util.h"
 #include "src/common/json.h"
+#include "src/common/rng.h"
+#include "src/ml/mlp.h"
+#include "src/ml/random_forest.h"
 #include "src/perf/json_check.h"
 #include "src/perf/mem_probe.h"
 #include "src/perf/perf_collector.h"
@@ -233,6 +237,59 @@ TEST(MemProbeTest, SimulatorSteadyStateIsAllocationFree) {
   EXPECT_EQ(delta.allocations, 0u);
   EXPECT_EQ(delta.deallocations, 0u);
   EXPECT_GT(sink, 0u);
+}
+
+// The offline fit kernels (DESIGN.md §12.5) allocate only while sizing
+// their buffers: an MLP Fit allocates the same at 50 epochs as at 500, and a
+// random-forest Fit allocates per tree, never per split.
+void MakeFitData(size_t n, std::vector<std::vector<double>>* x, std::vector<double>* y) {
+  Rng rng(n);
+  x->assign(n, std::vector<double>(12));
+  y->assign(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    for (double& v : (*x)[i]) {
+      v = rng.Uniform(0.0, 4.0);
+    }
+    (*y)[i] = (*x)[i][0] * (*x)[i][1] - (*x)[i][2] + rng.Normal(0.0, 0.1);
+  }
+}
+
+template <typename Model, typename Options>
+uint64_t FitAllocations(const Options& options, const std::vector<std::vector<double>>& x,
+                        const std::vector<double>& y) {
+  Model model(options);
+  AllocStats baseline = ReadAllocStats();
+  model.Fit(x, y);
+  return AllocStatsSince(baseline).allocations;
+}
+
+TEST(MemProbeTest, FitKernelsAllocateOnlyWhileSizing) {
+  if (!ReadAllocStats().hooked && SanitizerOwnsAllocator()) {
+    GTEST_SKIP() << "sanitizer runtime owns the allocator; alloc hook is inert";
+  }
+  ASSERT_TRUE(ReadAllocStats().hooked) << "perf_test must link mudi_perf_alloc_hook";
+  std::vector<std::vector<double>> x, big_x;
+  std::vector<double> y, big_y;
+  MakeFitData(30, &x, &y);
+  MakeFitData(300, &big_x, &big_y);
+
+  MlpOptions short_run, long_run;
+  short_run.epochs = 50;
+  long_run.epochs = 500;
+  uint64_t mlp_short = FitAllocations<MlpRegressor>(short_run, x, y);
+  EXPECT_GT(mlp_short, 0u);
+  EXPECT_EQ(FitAllocations<MlpRegressor>(long_run, x, y), mlp_short);
+
+  // Ten times the samples means roughly ten times the splits per tree.
+  RandomForestOptions forest;
+  forest.num_trees = 10;
+  forest.min_samples_leaf = 1;
+  uint64_t small_forest = FitAllocations<RandomForestRegressor>(forest, x, y);
+  EXPECT_EQ(FitAllocations<RandomForestRegressor>(forest, big_x, big_y), small_forest);
+  forest.num_trees = 20;
+  uint64_t twice_the_trees = FitAllocations<RandomForestRegressor>(forest, x, y);
+  EXPECT_GT(twice_the_trees, small_forest);
+  EXPECT_LE(twice_the_trees - small_forest, 2u * 10u);  // the tree and its node array
 }
 
 // ---------------------------------------------------------------------------
