@@ -155,34 +155,34 @@ Record RunOne(const Preset& preset, const std::string& policy_name) {
 
 void WriteDecision(std::ostream& os, const DecisionLatency& d) {
   os << "{\"count\":" << d.count << ",\"p50\":";
-  perf::WriteJsonNumber(os, d.p50);
+  WriteJsonNumber(os, d.p50);
   os << ",\"p95\":";
-  perf::WriteJsonNumber(os, d.p95);
+  WriteJsonNumber(os, d.p95);
   os << ",\"p99\":";
-  perf::WriteJsonNumber(os, d.p99);
+  WriteJsonNumber(os, d.p99);
   os << ",\"max\":";
-  perf::WriteJsonNumber(os, d.max);
+  WriteJsonNumber(os, d.max);
   os << "}";
 }
 
 void WriteRecord(std::ostream& os, const Record& r) {
   os << "    {\"preset\":";
-  perf::WriteJsonEscaped(os, r.preset);
+  WriteJsonString(os, r.preset);
   os << ",\"policy\":";
-  perf::WriteJsonEscaped(os, r.policy);
+  WriteJsonString(os, r.policy);
   os << ",\"wall_ms\":";
-  perf::WriteJsonNumber(os, r.wall_ms);
+  WriteJsonNumber(os, r.wall_ms);
   os << ",\"sim_ms\":";
-  perf::WriteJsonNumber(os, r.sim_ms);
+  WriteJsonNumber(os, r.sim_ms);
   os << ",\"events_fired\":" << r.events_fired << ",\"events_scheduled\":" << r.events_scheduled
      << ",\"events_cancelled\":" << r.events_cancelled << ",\"events_per_sec\":";
-  perf::WriteJsonNumber(os, r.events_per_sec);
+  WriteJsonNumber(os, r.events_per_sec);
   os << ",\"sim_seconds_per_wall_second\":";
-  perf::WriteJsonNumber(os, r.sim_seconds_per_wall_second);
+  WriteJsonNumber(os, r.sim_seconds_per_wall_second);
   os << ",\"decision_latency_ms\":";
   WriteDecision(os, r.decision);
   os << ",\"peak_rss_mb\":";
-  perf::WriteJsonNumber(os, r.peak_rss_mb);
+  WriteJsonNumber(os, r.peak_rss_mb);
   os << ",\"perf\":" << r.report.ToJsonString();
   os << "}";
 }
@@ -191,7 +191,7 @@ void WriteBenchJson(std::ostream& os, const std::vector<Record>& records) {
   os << "{\n  \"schema\": \"mudi.bench_throughput.v1\",\n  \"build\": ";
   perf::BuildMetadata::Current().WriteJson(os);
   os << ",\n  \"bench_scale\": ";
-  perf::WriteJsonNumber(os, BenchScale());
+  WriteJsonNumber(os, BenchScale());
   os << ",\n  \"records\": [\n";
   for (size_t i = 0; i < records.size(); ++i) {
     WriteRecord(os, records[i]);

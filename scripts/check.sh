@@ -32,11 +32,15 @@
 #            the determinism replays — under the ASan+UBSan tree. Opt-in via
 #            --chaos. Reuses build-asan when the asan stage already built it.
 #   replay   decision-trace record/replay smoke under the ASan+UBSan tree.
-#            Records a smoke run and fidelity-replays it (mudi_cli
+#            First runs the corrupt-input sweeps of the on-disk trace
+#            parsers (decision traces, binary and Chrome telemetry traces)
+#            and the JSON writer tests. Then records a smoke run and
+#            fidelity-replays it (mudi_cli
 #            --replay-verify fails unless the replayed metrics are
 #            byte-identical and >=90% of profiler invocations were served
 #            from the trace), then counterfactual-replays the trace: the
-#            same policy must reproduce every recorded decision, and the
+#            same policy must reproduce every recorded decision and answer
+#            every probe from the trace (zero misses), and the
 #            device-only ablation's what-if trace must trace_diff cleanly
 #            against the source. Opt-in via --replay; reuses build-asan.
 #
@@ -383,7 +387,15 @@ if [ "$RUN_REPLAY" -eq 1 ]; then
        -DCMAKE_CXX_FLAGS="$REPLAY_FLAGS" \
        -DCMAKE_EXE_LINKER_FLAGS="$REPLAY_FLAGS" > /dev/null &&
      cmake --build build-asan -j "$(nproc)" \
-       --target mudi_cli trace_diff > /dev/null; then
+       --target mudi_cli trace_diff replay_test telemetry_test > /dev/null; then
+    # (0) Corrupt-input sweeps: truncations, byte flips and oversized
+    # lengths must end in an error or a well-formed result, never a crash.
+    if ! (cd build-asan && \
+          env $REPLAY_ENV ctest --output-on-failure -j "$(nproc)" \
+            -R '(TraceCorruption|TraceHeader|BinaryTraceReader|TraceReader|JsonWriter)'); then
+      echo "replay: corrupt-input sweeps failed"
+      REPLAY_RESULT=FAIL
+    fi
     # (1) Record a smoke run, then fidelity-replay it: mudi_cli exits
     # non-zero unless the replayed metrics are byte-identical to the
     # recorded run AND >=90% of profiler invocations were served from the
@@ -394,12 +406,17 @@ if [ "$RUN_REPLAY" -eq 1 ]; then
       REPLAY_RESULT=FAIL
     fi
     # (2) Same-policy counterfactual: with no simulation at all, Mudi over
-    # its own trace must reproduce every recorded decision.
+    # its own trace must reproduce every recorded decision, and answer every
+    # probe from the trace (live and what-if runs key probes identically).
     if [ "$REPLAY_RESULT" = PASS ]; then
       WHATIF_OUT=$(env $REPLAY_ENV build-asan/tools/mudi_cli \
                      --whatif "$REPLAY_TRACE" --policy Mudi)
       if [ $? -ne 0 ] || ! echo "$WHATIF_OUT" | grep -q "no divergence"; then
         echo "replay: same-policy counterfactual failed to reproduce the trace"
+        echo "$WHATIF_OUT"
+        REPLAY_RESULT=FAIL
+      elif ! echo "$WHATIF_OUT" | grep -Eq "^probe lookups: .*, 0 misses "; then
+        echo "replay: same-policy counterfactual missed recorded probes"
         echo "$WHATIF_OUT"
         REPLAY_RESULT=FAIL
       fi

@@ -1,9 +1,12 @@
 #include "src/common/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <utility>
 
@@ -365,6 +368,43 @@ StatusOr<JsonValue> ParseJsonFile(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return ParseJson(buffer.str());
+}
+
+void WriteJsonString(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        os << "\\\"";
+        break;
+      case '\\':
+        os << "\\\\";
+        break;
+      case '\n':
+        os << "\\n";
+        break;
+      case '\t':
+        os << "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
+}
+
+void WriteJsonNumber(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << 0;
+    return;
+  }
+  os << v;
 }
 
 }  // namespace mudi

@@ -1,7 +1,9 @@
-// The repository's one JSON reader: parses standard JSON into a small DOM.
-// No writer (the writers live next to the data they serialize) and no
-// streaming — every document read here (BENCH_*.json, PerfReport output,
-// decision-trace headers, mudi.lint.v1 reports, Chrome traces) fits in memory.
+// The repository's one JSON reader, which parses standard JSON into a small
+// DOM, and its one string/number writer. Documents are assembled by the code
+// that owns the data (metrics, traces, perf reports, decision-trace headers,
+// lint reports); every string or number they emit goes through
+// WriteJsonString/WriteJsonNumber, so whatever they write reads back here.
+// No streaming — every document read here fits in memory.
 //
 // Object members keep document order, and `\uXXXX` escapes decode to UTF-8,
 // so a Chrome trace's args read back in the order the recorder wrote them
@@ -10,7 +12,9 @@
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
+#include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,6 +68,16 @@ StatusOr<JsonValue> ParseJson(const std::string& text);
 
 // Reads and parses a JSON file.
 StatusOr<JsonValue> ParseJsonFile(const std::string& path);
+
+// Writes `s` as a quoted JSON string. `"`, `\`, newline and tab get their
+// short escapes and every other byte below 0x20 is written as \u00XX, so the
+// output never holds a raw control byte (a JSONL line stays one line).
+// Bytes from 0x20 up, UTF-8 sequences included, pass through unchanged.
+void WriteJsonString(std::ostream& os, std::string_view s);
+
+// Writes `v` in the stream's current format; NaN and the infinities, which
+// JSON cannot represent, are written as 0.
+void WriteJsonNumber(std::ostream& os, double v);
 
 }  // namespace mudi
 

@@ -8,13 +8,13 @@
 #include "src/common/check.h"
 #include "src/common/logging.h"
 #include "src/common/stats.h"
-#include "src/common/wallclock.h"
 #include "src/replay/decision_recorder.h"
-#include "src/replay/probe_key.h"
 #include "src/replay/replay_source.h"
 
 namespace mudi {
 namespace {
+
+using replay::DecisionScope;
 
 constexpr double kDefaultReplicaQps = 200.0;  // mean inter-arrival 5 ms (§7.1)
 constexpr double kInitialInferenceFraction = 0.5;
@@ -22,50 +22,6 @@ constexpr int kInitialBatch = 64;
 // Queue cap as a multiple of the batching size: beyond it, oldest requests
 // are shed and counted as worst-case latency (overload).
 constexpr double kQueueCapBatches = 50.0;
-
-// RAII decision scope around one policy hook: opens the recorder's decision,
-// snapshots the state the policy can observe (all devices for cluster-wide
-// hooks, just the target for per-device ones), and measures the hook's wall
-// latency. A null recorder makes the whole scope a no-op — the timer is not
-// even started, so an unrecorded run never reads the clock here.
-class DecisionScope {
- public:
-  enum class Snapshot { kNone, kDevice, kAll };
-
-  DecisionScope(replay::DecisionRecorder* recorder, ClusterState& cluster,
-                replay::HookKind hook, double sim_ms, Snapshot snapshot, int device_id = -1,
-                int task_id = -1, int type_index = -1)
-      : recorder_(recorder) {
-    if (recorder_ == nullptr) {
-      return;
-    }
-    recorder_->BeginDecision(hook, sim_ms, device_id, task_id, type_index);
-    if (snapshot == Snapshot::kAll) {
-      for (const GpuDevice& dev : cluster.devices()) {
-        recorder_->AddSnapshotDevice(replay::MakeSnapshotDevice(dev));
-      }
-    } else if (snapshot == Snapshot::kDevice) {
-      recorder_->AddSnapshotDevice(
-          replay::MakeSnapshotDevice(cluster.device(static_cast<size_t>(device_id))));
-    }
-    timer_.Restart();
-  }
-
-  ~DecisionScope() {
-    if (recorder_ != nullptr) {
-      recorder_->EndDecision(timer_.ElapsedMs() * 1000.0);
-    }
-  }
-
-  DecisionScope(const DecisionScope&) = delete;
-  DecisionScope& operator=(const DecisionScope&) = delete;
-
-  replay::DecisionRecorder* recorder() { return recorder_; }
-
- private:
-  replay::DecisionRecorder* recorder_;
-  WallTimer timer_{WallTimer::Unstarted{}};
-};
 
 }  // namespace
 
@@ -81,6 +37,7 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
       cluster_(options_.num_nodes, NodeSpec{options_.gpus_per_node, ModelZoo::kGpuMemoryMb}),
       rng_(options_.seed),
       probe_rng_(options_.seed ^ 0xABCDEFull),
+      probes_(oracle_, probe_rng_, options_.replay, options_.recorder),
       queue_(options_.queue_policy) {
   MUDI_CHECK(policy_ != nullptr);
   MUDI_CHECK_GT(options_.num_services, 0u);
@@ -89,13 +46,6 @@ ClusterExperiment::ClusterExperiment(ExperimentOptions options, MultiplexPolicy*
   fault_injector_ = std::make_unique<FaultInjector>(&sim_, this,
                                                     static_cast<int>(cluster_.num_devices()),
                                                     options_.num_nodes, &telemetry_);
-  // Opt-in tombstone delete events (forced on later if a control fault plan
-  // arms): must be set before the first Put so revision numbering is
-  // consistent for the whole run.
-  if (options_.registry_delete_events) {
-    registry_.EnableDeleteEvents(true);
-  }
-
   // Place one inference replica per device, service round-robin.
   replicas_.resize(cluster_.num_devices());
   for (size_t d = 0; d < cluster_.num_devices(); ++d) {
@@ -192,17 +142,6 @@ double ClusterExperiment::MeasuredP99(int device_id) {
   return p99;
 }
 
-const std::vector<ColocatedTraining>& ClusterExperiment::ActiveColocation(const GpuDevice& dev) {
-  const auto& tasks = ModelZoo::TrainingTasks();
-  colocation_.clear();
-  for (const auto& t : dev.trainings()) {
-    if (!t.paused) {
-      colocation_.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  return colocation_;
-}
-
 InferenceLoad ClusterExperiment::CurrentInferenceLoad(int device_id) {
   const GpuDevice& dev = device(device_id);
   InferenceLoad load;
@@ -219,103 +158,14 @@ InferenceLoad ClusterExperiment::CurrentInferenceLoad(int device_id) {
 
 double ClusterExperiment::ProbeInferenceLatencyMs(int device_id, int batch,
                                                   double gpu_fraction) {
-  const GpuDevice& dev = device(device_id);
-  uint64_t key = 0;
-  if (options_.recorder != nullptr || options_.replay != nullptr) {
-    replay::ColocationMix mix;
-    mix.reserve(dev.trainings().size());
-    for (const auto& t : dev.trainings()) {
-      if (!t.paused) {
-        mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      }
-    }
-    key = replay::InferenceProbeKey(static_cast<uint32_t>(dev.inference().service_index), batch,
-                                    gpu_fraction, mix, dev.EffectiveComputeScale());
-    if (options_.replay != nullptr) {
-      if (auto recorded = options_.replay->TakeObservation(key)) {
-        // Served from the trace: the oracle and probe_rng_ are untouched, so
-        // the replayed noise stream stays aligned with the recorded run.
-        return *recorded;
-      }
-    }
-  }
-  const auto& colocated = ActiveColocation(dev);
-  double lat = oracle_
-                   .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), batch, gpu_fraction,
-                                                 colocated, probe_rng_)
-                   .total_ms();
-  lat /= dev.EffectiveComputeScale();
-  if (options_.recorder != nullptr) {
-    options_.recorder->RecordObservation(replay::ObsKind::kProbeInference, sim_.Now(), device_id,
-                                         key, lat);
-  }
-  return lat;
+  return probes_.InferenceLatencyMs(device(device_id), sim_.Now(), batch, gpu_fraction);
 }
 
 double ClusterExperiment::ProbeTrainingIterMs(int device_id, int task_id, double train_fraction,
                                               int inf_batch, double inf_fraction) {
-  const GpuDevice& dev = device(device_id);
-  const TrainingInstance* instance = dev.FindTraining(task_id);
-  MUDI_CHECK(instance != nullptr);
-  const auto& tasks = ModelZoo::TrainingTasks();
-  const TrainingTaskSpec& spec = tasks[instance->type_index];
-
-  InferenceLoad load = CurrentInferenceLoad(device_id);
-  if (inf_batch > 0) {
-    load.batch_size = inf_batch;
-  }
-  if (inf_fraction > 0.0) {
-    load.gpu_fraction = inf_fraction;
-  }
-  std::vector<ColocatedTraining> others;
-  for (const auto& t : dev.trainings()) {
-    if (!t.paused && t.task_id != task_id) {
-      others.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  double frac = train_fraction > 0.0 ? train_fraction : instance->gpu_fraction;
-  double clamped = std::clamp(frac, 0.02, 1.0);
-  // The what-if must anticipate the memory pressure of the probed inference
-  // batch: a larger batch can force this task's working set to swap, and the
-  // Training Agent would observe those slower (paged) iterations.
-  TrainingInstance hypothetical = *instance;
-  if (inf_batch > 0) {
-    double inf_mem = InferenceMemoryMb(*load.spec, inf_batch);
-    double required = inf_mem;
-    for (const auto& t : dev.trainings()) {
-      required += t.mem_required_mb;
-    }
-    double deficit = std::max(0.0, required - dev.memory_mb());
-    hypothetical.mem_swapped_mb = std::min(deficit, 0.85 * instance->mem_required_mb);
-  }
-  double swap_factor = MemoryManager::SwapSlowdownFactor(hypothetical);
-
-  uint64_t key = 0;
-  if (options_.recorder != nullptr || options_.replay != nullptr) {
-    replay::ColocationMix others_mix;
-    others_mix.reserve(others.size());
-    for (const auto& t : dev.trainings()) {
-      if (!t.paused && t.task_id != task_id) {
-        others_mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      }
-    }
-    key = replay::TrainingProbeKey(
-        static_cast<uint32_t>(instance->type_index), clamped,
-        static_cast<uint32_t>(dev.inference().service_index), load.batch_size, load.gpu_fraction,
-        load.qps, others_mix, swap_factor, dev.EffectiveComputeScale());
-    if (options_.replay != nullptr) {
-      if (auto recorded = options_.replay->TakeObservation(key)) {
-        return *recorded;
-      }
-    }
-  }
-  double iter = oracle_.ObserveTrainingIterationMs(spec, clamped, load, others, probe_rng_);
-  double result = iter * swap_factor / dev.EffectiveComputeScale();
-  if (options_.recorder != nullptr) {
-    options_.recorder->RecordObservation(replay::ObsKind::kProbeTraining, sim_.Now(), device_id,
-                                         key, result);
-  }
-  return result;
+  return probes_.TrainingIterMs(device(device_id), sim_.Now(),
+                                CurrentInferenceLoad(device_id).qps, task_id, train_fraction,
+                                inf_batch, inf_fraction);
 }
 
 void ClusterExperiment::ApplyInferenceConfig(int device_id, int batch, double gpu_fraction) {
@@ -569,10 +419,10 @@ void ClusterExperiment::TryStartBatch(int device_id) {
     }
   }
 
-  const auto& colocated = ActiveColocation(dev);
+  replay::CollectColocation(dev, replay::kNoTask, colocation_);
   double latency = oracle_
                        .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), actual,
-                                                     dev.inference().gpu_fraction, colocated,
+                                                     dev.inference().gpu_fraction, colocation_,
                                                      rng_)
                        .total_ms() /
                    dev.EffectiveComputeScale();
@@ -849,8 +699,8 @@ void ClusterExperiment::OnDeviceDown(int device_id, bool permanent, TimeMs now) 
   // A crashed scheduler observes nothing: the failure shows up in its
   // recovery scan instead, and OnControlPlaneRestart drops stale caches.
   if (scheduler_up_) {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnDeviceFailed, now,
-                        DecisionScope::Snapshot::kDevice, device_id);
+    DecisionScope scope(options_.recorder, cluster_.devices(), replay::HookKind::kOnDeviceFailed,
+                        now, DecisionScope::Snapshot::kDevice, device_id);
     if (scope.recorder() != nullptr) {
       for (const auto& t : displaced) {
         scope.recorder()->AddDisplaced(t.task_id, static_cast<uint32_t>(t.type_index));
@@ -895,7 +745,8 @@ void ClusterExperiment::OnDeviceUp(int device_id, TimeMs now) {
   MUDI_LOG(Info) << "device " << device_id << " recovered at t=" << now / kMsPerSecond << "s";
 
   if (scheduler_up_) {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnDeviceRecovered, now,
+    DecisionScope scope(options_.recorder, cluster_.devices(),
+                        replay::HookKind::kOnDeviceRecovered, now,
                         DecisionScope::Snapshot::kDevice, device_id);
     policy_->OnDeviceRecovered(*this, device_id);
   }
@@ -1164,8 +1015,9 @@ void ClusterExperiment::FinishSchedulerRecovery() {
   // The reconstructed view may be stale: drop policy caches and force a full
   // retune sweep at the next MonitorTick (stale-trigger every replica).
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnControlPlaneRestart,
-                        now, DecisionScope::Snapshot::kNone);
+    DecisionScope scope(options_.recorder, cluster_.devices(),
+                        replay::HookKind::kOnControlPlaneRestart, now,
+                        DecisionScope::Snapshot::kNone);
     policy_->OnControlPlaneRestart(*this);
   }
   for (auto& r : replicas_) {
@@ -1210,7 +1062,7 @@ void ClusterExperiment::TryDispatchQueue() {
     info.spec = &ModelZoo::TrainingTasks()[next->arrival.type_index];
     std::optional<int> choice;
     {
-      DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kSelectDevice,
+      DecisionScope scope(options_.recorder, cluster_.devices(), replay::HookKind::kSelectDevice,
                           sim_.Now(), DecisionScope::Snapshot::kAll, /*device_id=*/-1,
                           info.task_id, static_cast<int>(info.type_index));
       perf::PerfRegion region(perf_select_stat_);
@@ -1293,8 +1145,9 @@ void ClusterExperiment::PlaceTask(const TrainingArrival& arrival, int device_id)
   info.type_index = arrival.type_index;
   info.spec = &spec;
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnTrainingPlaced,
-                        sim_.Now(), DecisionScope::Snapshot::kDevice, device_id, info.task_id,
+    DecisionScope scope(options_.recorder, cluster_.devices(),
+                        replay::HookKind::kOnTrainingPlaced, sim_.Now(),
+                        DecisionScope::Snapshot::kDevice, device_id, info.task_id,
                         static_cast<int>(info.type_index));
     perf::PerfRegion region(perf_place_stat_);
     policy_->OnTrainingPlaced(*this, device_id, info);
@@ -1353,15 +1206,10 @@ void ClusterExperiment::UpdateTrainingSpeeds(int device_id) {
       continue;
     }
     const TrainingTaskSpec& spec = tasks[instance.type_index];
-    std::vector<ColocatedTraining> others;
-    for (const auto& other : dev.trainings()) {
-      if (!other.paused && other.task_id != instance.task_id) {
-        others.push_back(ColocatedTraining{&tasks[other.type_index], other.gpu_fraction});
-      }
-    }
+    replay::CollectColocation(dev, instance.task_id, colocation_);
     double iter = oracle_.TrainingIterationMs(spec, std::clamp(instance.gpu_fraction, 0.02, 1.0),
-                                              load, others) *
-                  MemoryManager::SwapSlowdownFactor(instance) / dev.EffectiveComputeScale();
+                                              load, colocation_) *
+                  SwapSlowdownFactor(instance) / dev.EffectiveComputeScale();
     running.speed = spec.iter_ms_full / iter;
     MUDI_CHECK_GT(running.speed, 0.0);
     TimeMs eta = instance.work_remaining_ms / running.speed;
@@ -1398,8 +1246,9 @@ void ClusterExperiment::OnTrainingComplete(int device_id, int task_id) {
 
   RebalanceMemory(device_id);
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnTrainingCompleted,
-                        sim_.Now(), DecisionScope::Snapshot::kDevice, device_id, task_id,
+    DecisionScope scope(options_.recorder, cluster_.devices(),
+                        replay::HookKind::kOnTrainingCompleted, sim_.Now(),
+                        DecisionScope::Snapshot::kDevice, device_id, task_id,
                         static_cast<int>(record.type_index));
     policy_->OnTrainingCompleted(*this, device_id, task_id);
   }
@@ -1435,7 +1284,7 @@ void ClusterExperiment::MonitorTick() {
     if (qps_trigger || slo_risk || has_paused || stale) {
       r.last_trigger_ms = sim_.Now();
       {
-        DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kOnQpsChange,
+        DecisionScope scope(options_.recorder, cluster_.devices(), replay::HookKind::kOnQpsChange,
                             sim_.Now(), DecisionScope::Snapshot::kDevice, static_cast<int>(d));
         perf::PerfRegion region(perf_qps_stat_);
         policy_->OnQpsChange(*this, static_cast<int>(d));
@@ -1554,8 +1403,8 @@ ExperimentResult ClusterExperiment::Run() {
     options_.recorder->RecordDeviceTable(table);
   }
   {
-    DecisionScope scope(options_.recorder, cluster_, replay::HookKind::kInitialize, sim_.Now(),
-                        DecisionScope::Snapshot::kAll);
+    DecisionScope scope(options_.recorder, cluster_.devices(), replay::HookKind::kInitialize,
+                        sim_.Now(), DecisionScope::Snapshot::kAll);
     perf::PerfRegion region(perf(), "policy.initialize");
     policy_->Initialize(*this);
   }

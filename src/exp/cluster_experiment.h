@@ -36,6 +36,7 @@
 #include "src/gpu/perf_oracle.h"
 #include "src/perf/perf_collector.h"
 #include "src/replay/decision_recorder.h"
+#include "src/replay/probe.h"
 #include "src/replay/replay_source.h"
 #include "src/sim/simulator.h"
 #include "src/telemetry/telemetry.h"
@@ -101,11 +102,6 @@ struct ExperimentOptions {
   // events and zero registry traffic: the run stays byte-identical to one
   // without any control-fault machinery (ctrl_fault_test pins this).
   ControlFaultPlan ctrl_fault_plan;
-  // Opt-in tombstone delete events on the registry (KvStore delete events).
-  // Forced on while a control fault plan is armed so recovery can observe
-  // deregistration. With no watchers registered this only affects revision
-  // numbers, never results.
-  bool registry_delete_events = false;
   // Scheduler state-checkpoint period while the control fault domain is
   // active: the coordinator heartbeats its epoch into the registry so the
   // recovery scan can tell how stale its view is.
@@ -311,9 +307,6 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   void MonitorTick();
   void UtilSampleTick();
 
-  // The unpaused trainings on `dev`, in colocation_; the reference stays
-  // valid until the next call.
-  const std::vector<ColocatedTraining>& ActiveColocation(const GpuDevice& dev);
   InferenceLoad CurrentInferenceLoad(int device_id);
   void RebalanceMemory(int device_id);
 
@@ -325,6 +318,7 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   ClusterState cluster_;
   Rng rng_;
   Rng probe_rng_;
+  replay::ProbePipeline probes_;  // answers Probe* from oracle_/probe_rng_
   MemoryManager memory_manager_;
   TaskQueue queue_;
   KvStore registry_;
@@ -349,7 +343,8 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   telemetry::Counter* windows_violated_counter_ = nullptr;
   telemetry::Counter* windows_violated_failure_counter_ = nullptr;
 
-  std::vector<ColocatedTraining> colocation_;  // ActiveColocation's buffer
+  // Co-location buffer for batch service and training-speed updates.
+  std::vector<ColocatedTraining> colocation_;
 
   std::vector<Replica> replicas_;
   std::map<int, RunningTask> running_;          // task_id -> runtime state

@@ -55,7 +55,8 @@ double TrainingMemoryMb(const TrainingTaskSpec& spec);
 // Iteration-time slowdown factor (>= 1) for a training instance given its
 // current swap state: paged access over UM stalls compute. Lives here (not
 // in the Memory Manager) because it is a pure function of the instance that
-// both the live harness and the decision-trace replay environments apply.
+// the live harness's training-speed model and the probe pipeline
+// (src/replay/probe.h) both apply.
 double SwapSlowdownFactor(const TrainingInstance& training);
 
 class GpuDevice {

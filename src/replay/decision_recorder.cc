@@ -37,6 +37,30 @@ SnapshotDevice MakeSnapshotDevice(const GpuDevice& dev) {
   return out;
 }
 
+DecisionScope::DecisionScope(DecisionRecorder* recorder, const std::vector<GpuDevice>& devices,
+                             HookKind hook, double sim_ms, Snapshot snapshot, int device_id,
+                             int task_id, int type_index)
+    : recorder_(recorder) {
+  if (recorder_ == nullptr) {
+    return;
+  }
+  recorder_->BeginDecision(hook, sim_ms, device_id, task_id, type_index);
+  if (snapshot == Snapshot::kAll) {
+    for (const GpuDevice& dev : devices) {
+      recorder_->AddSnapshotDevice(MakeSnapshotDevice(dev));
+    }
+  } else if (snapshot == Snapshot::kDevice) {
+    recorder_->AddSnapshotDevice(MakeSnapshotDevice(devices[static_cast<size_t>(device_id)]));
+  }
+  timer_.Restart();
+}
+
+DecisionScope::~DecisionScope() {
+  if (recorder_ != nullptr) {
+    recorder_->EndDecision(timer_.ElapsedMs() * 1000.0);
+  }
+}
+
 StatusOr<std::unique_ptr<DecisionRecorder>> DecisionRecorder::Create(const std::string& path,
                                                                      const TraceHeader& header) {
   std::unique_ptr<DecisionRecorder> recorder(new DecisionRecorder(path, header));

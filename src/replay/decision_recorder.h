@@ -23,6 +23,7 @@
 
 #include "src/cluster/replay_hooks.h"
 #include "src/common/status.h"
+#include "src/common/wallclock.h"
 #include "src/gpu/gpu_device.h"
 #include "src/replay/decision_trace.h"
 
@@ -97,6 +98,31 @@ class DecisionRecorder : public DecisionSink {
   uint64_t decisions_recorded_ = 0;
   uint64_t observations_recorded_ = 0;
   bool finished_ = false;
+};
+
+// RAII decision scope around one policy hook, shared by the live harness and
+// counterfactual replay: opens the recorder's decision, snapshots the state
+// the policy can observe (all devices for cluster-wide hooks, just the target
+// for per-device ones), and measures the hook's wall latency. A null recorder
+// makes the whole scope a no-op — the timer is not even started, so an
+// unrecorded run never reads the clock here.
+class DecisionScope {
+ public:
+  enum class Snapshot { kNone, kDevice, kAll };
+
+  DecisionScope(DecisionRecorder* recorder, const std::vector<GpuDevice>& devices, HookKind hook,
+                double sim_ms, Snapshot snapshot, int device_id = -1, int task_id = -1,
+                int type_index = -1);
+  ~DecisionScope();
+
+  DecisionScope(const DecisionScope&) = delete;
+  DecisionScope& operator=(const DecisionScope&) = delete;
+
+  DecisionRecorder* recorder() { return recorder_; }
+
+ private:
+  DecisionRecorder* recorder_;
+  WallTimer timer_{WallTimer::Unstarted{}};
 };
 
 }  // namespace replay

@@ -45,30 +45,6 @@ const char* ActionName(ActionKind action) {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
 Status RequireString(const JsonValue& root, const std::string& key) {
   const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_string()) {
@@ -77,15 +53,17 @@ Status RequireString(const JsonValue& root, const std::string& key) {
   return Status::Ok();
 }
 
-Status RequireNonNegativeInteger(const JsonValue& root, const std::string& key) {
+// `key` must hold an integer in [0, limit), so the decoder's cast to its
+// field type is exact.
+Status RequireNonNegativeInteger(const JsonValue& root, const std::string& key, double limit) {
   const JsonValue* v = root.Find(key);
   if (v == nullptr || !v->is_number()) {
     return InvalidArgumentError("decision trace header: missing numeric field '" + key + "'");
   }
   double n = v->number();
-  if (n < 0.0 || n != static_cast<double>(static_cast<uint64_t>(n))) {
+  if (!(n >= 0.0 && n < limit) || n != static_cast<double>(static_cast<uint64_t>(n))) {
     return InvalidArgumentError("decision trace header: field '" + key +
-                                "' must be a non-negative integer");
+                                "' must be a non-negative integer that fits its field");
   }
   return Status::Ok();
 }
@@ -111,19 +89,26 @@ Status ValidateDecisionTraceHeader(const JsonValue& root) {
     return InvalidArgumentError("decision trace header: mode must be 'record' or 'counterfactual'");
   }
   MUDI_RETURN_IF_ERROR(RequireString(root, "base_policy"));
-  for (const char* key : {"seed", "oracle_seed", "num_devices", "num_services", "service_offset"}) {
-    MUDI_RETURN_IF_ERROR(RequireNonNegativeInteger(root, key));
+  for (const char* key : {"seed", "oracle_seed"}) {
+    MUDI_RETURN_IF_ERROR(RequireNonNegativeInteger(root, key, 0x1p64));
+  }
+  for (const char* key : {"num_devices", "num_services", "service_offset"}) {
+    MUDI_RETURN_IF_ERROR(RequireNonNegativeInteger(root, key, 0x1p32));
   }
   return Status::Ok();
 }
 
 std::string EncodeTraceHeader(const TraceHeader& header) {
   std::ostringstream out;
-  out << "{\"schema\":\"" << JsonEscape(header.schema) << "\""
-      << ",\"policy\":\"" << JsonEscape(header.policy) << "\""
-      << ",\"mode\":\"" << JsonEscape(header.mode) << "\""
-      << ",\"base_policy\":\"" << JsonEscape(header.base_policy) << "\""
-      << ",\"seed\":" << header.seed << ",\"oracle_seed\":" << header.oracle_seed
+  out << "{\"schema\":";
+  WriteJsonString(out, header.schema);
+  out << ",\"policy\":";
+  WriteJsonString(out, header.policy);
+  out << ",\"mode\":";
+  WriteJsonString(out, header.mode);
+  out << ",\"base_policy\":";
+  WriteJsonString(out, header.base_policy);
+  out << ",\"seed\":" << header.seed << ",\"oracle_seed\":" << header.oracle_seed
       << ",\"num_devices\":" << header.num_devices << ",\"num_services\":" << header.num_services
       << ",\"service_offset\":" << header.service_offset << "}";
   return out.str();

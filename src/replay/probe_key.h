@@ -2,19 +2,21 @@
 //
 // A probe's result is fully determined by its inputs (the oracle is a pure
 // function of them plus seeded noise), so record and replay agree on a key by
-// hashing the same effective inputs on both sides: the live harness
-// (ClusterExperiment::Probe*) hashes what it passes to the PerfOracle when
-// recording, and the replay environments hash what they *would* pass when
-// looking the value up. Keys are FNV-1a 64 over the raw bit patterns, so two
-// probes collide only when the oracle would have been asked the identical
-// question — which is exactly when serving the recorded answer is sound.
+// hashing the effective inputs the probe pipeline (probe.h) passes to the
+// PerfOracle. Both run modes key probes through that one pipeline: a
+// recording run stores each answer under its key, and a replay looks the
+// same key up. Keys are FNV-1a 64 over the raw bit patterns, so two probes
+// collide only when the oracle would have been asked the identical question
+// — which is exactly when serving the recorded answer is sound.
 #ifndef SRC_REPLAY_PROBE_KEY_H_
 #define SRC_REPLAY_PROBE_KEY_H_
 
 #include <cstdint>
 #include <cstring>
-#include <utility>
 #include <vector>
+
+#include "src/gpu/perf_oracle.h"
+#include "src/workload/models.h"
 
 namespace mudi {
 namespace replay {
@@ -45,27 +47,31 @@ class KeyHasher {
   uint64_t hash_ = 14695981039346656037ULL;
 };
 
-// (training type index, gpu fraction) pairs, in device residency order — both
-// sides iterate the same trainings vector, so no canonicalization is needed.
-using ColocationMix = std::vector<std::pair<uint32_t, double>>;
+// Mixes a co-location list, in residency order, as (training type index,
+// gpu fraction) pairs. The type index is recovered from the spec pointer,
+// which points into ModelZoo::TrainingTasks() (see CollectColocation).
+inline void MixColocation(KeyHasher& h, const std::vector<ColocatedTraining>& colocated) {
+  const TrainingTaskSpec* tasks = ModelZoo::TrainingTasks().data();
+  h.Mix(static_cast<uint64_t>(colocated.size()));
+  for (const ColocatedTraining& c : colocated) {
+    h.Mix(static_cast<uint32_t>(c.spec - tasks)).Mix(c.gpu_fraction);
+  }
+}
 
-// Key for SchedulingEnv::ProbeInferenceLatencyMs. Inputs mirror the
+// Key for SchedulingEnv::ProbeInferenceLatencyMs: the inputs of the
 // ObserveInferenceBatchLatency call plus the device's effective compute
 // scale, which divides the returned latency.
 inline uint64_t InferenceProbeKey(uint32_t service_index, int batch, double gpu_fraction,
-                                  const ColocationMix& colocated,
+                                  const std::vector<ColocatedTraining>& colocated,
                                   double effective_compute_scale) {
   KeyHasher h;
   h.Mix(uint64_t{1}).Mix(service_index).Mix(batch).Mix(gpu_fraction);
-  h.Mix(static_cast<uint64_t>(colocated.size()));
-  for (const auto& [type, fraction] : colocated) {
-    h.Mix(type).Mix(fraction);
-  }
+  MixColocation(h, colocated);
   h.Mix(effective_compute_scale);
   return h.hash();
 }
 
-// Key for SchedulingEnv::ProbeTrainingIterMs. Inputs mirror the
+// Key for SchedulingEnv::ProbeTrainingIterMs: the inputs of the
 // ObserveTrainingIterationMs call (task spec, clamped fraction, effective
 // inference load including measured QPS, the other co-resident trainings)
 // plus the two post-factors applied to the oracle's answer: the hypothetical
@@ -73,15 +79,12 @@ inline uint64_t InferenceProbeKey(uint32_t service_index, int batch, double gpu_
 inline uint64_t TrainingProbeKey(uint32_t type_index, double clamped_fraction,
                                  uint32_t load_service_index, int load_batch,
                                  double load_gpu_fraction, double load_qps,
-                                 const ColocationMix& others, double swap_factor,
-                                 double effective_compute_scale) {
+                                 const std::vector<ColocatedTraining>& others,
+                                 double swap_factor, double effective_compute_scale) {
   KeyHasher h;
   h.Mix(uint64_t{2}).Mix(type_index).Mix(clamped_fraction);
   h.Mix(load_service_index).Mix(load_batch).Mix(load_gpu_fraction).Mix(load_qps);
-  h.Mix(static_cast<uint64_t>(others.size()));
-  for (const auto& [type, fraction] : others) {
-    h.Mix(type).Mix(fraction);
-  }
+  MixColocation(h, others);
   h.Mix(swap_factor).Mix(effective_compute_scale);
   return h.hash();
 }

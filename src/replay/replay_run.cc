@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
-#include "src/replay/probe_key.h"
 #include "src/workload/models.h"
 
 namespace mudi {
@@ -19,6 +17,9 @@ namespace {
 // never asked this exact question, so any fixed independent stream is as
 // honest as another — but it must not alias the recorded run's streams.
 constexpr uint64_t kFallbackRngTag = 0x7265706c61796673ull;  // "replayfs"
+
+// DispatchDecision's result for every hook but SelectDevice.
+constexpr int kNotSelectDevice = -2;
 
 std::string FormatChoiceDivergence(const TraceDecision& recorded, int whatif_choice) {
   char buf[160];
@@ -69,13 +70,79 @@ bool SameActions(const std::vector<TraceAction>& a, const std::vector<TraceActio
   return true;
 }
 
+// Runs recorded decision `d`'s hook on `policy`. Returns the device a
+// SelectDevice decision chose (-1: none), or kNotSelectDevice for any other
+// hook.
+StatusOr<int> DispatchDecision(MultiplexPolicy& policy, ReplayEnv& env, const TraceDecision& d,
+                               DecisionRecorder* rec) {
+  const auto& tasks = ModelZoo::TrainingTasks();
+  switch (static_cast<HookKind>(d.hook)) {
+    case HookKind::kInitialize:
+      policy.Initialize(env);
+      break;
+    case HookKind::kSelectDevice: {
+      MUDI_CHECK_GE(d.type_index, 0);
+      TrainingTaskInfo info;
+      info.task_id = d.task_id;
+      info.type_index = static_cast<size_t>(d.type_index);
+      info.spec = &tasks[info.type_index];
+      int choice = policy.SelectDevice(env, info).value_or(-1);
+      if (rec != nullptr) {
+        rec->SetChosenDevice(choice);
+      }
+      return choice;
+    }
+    case HookKind::kOnTrainingPlaced: {
+      MUDI_CHECK_GE(d.type_index, 0);
+      TrainingTaskInfo info;
+      info.task_id = d.task_id;
+      info.type_index = static_cast<size_t>(d.type_index);
+      info.spec = &tasks[info.type_index];
+      policy.OnTrainingPlaced(env, d.device_id, info);
+      break;
+    }
+    case HookKind::kOnTrainingCompleted:
+      policy.OnTrainingCompleted(env, d.device_id, d.task_id);
+      break;
+    case HookKind::kOnQpsChange:
+      policy.OnQpsChange(env, d.device_id);
+      break;
+    case HookKind::kOnDeviceFailed: {
+      std::vector<TrainingTaskInfo> displaced;
+      displaced.reserve(d.displaced.size());
+      for (const auto& [task_id, type_index] : d.displaced) {
+        TrainingTaskInfo info;
+        info.task_id = task_id;
+        info.type_index = type_index;
+        info.spec = &tasks[type_index];
+        displaced.push_back(info);
+        if (rec != nullptr) {
+          rec->AddDisplaced(task_id, type_index);
+        }
+      }
+      policy.OnDeviceFailed(env, d.device_id, displaced);
+      break;
+    }
+    case HookKind::kOnDeviceRecovered:
+      policy.OnDeviceRecovered(env, d.device_id);
+      break;
+    case HookKind::kOnControlPlaneRestart:
+      policy.OnControlPlaneRestart(env);
+      break;
+    default:
+      return InternalError("unknown hook kind in decision trace");
+  }
+  return kNotSelectDevice;
+}
+
 }  // namespace
 
 ReplayEnv::ReplayEnv(ReplaySource& source, DecisionRecorder* whatif_recorder)
     : source_(source),
       whatif_recorder_(whatif_recorder),
       fallback_oracle_(source.trace().header.oracle_seed),
-      fallback_rng_(Rng(source.trace().header.seed).Fork(kFallbackRngTag)) {
+      fallback_rng_(Rng(source.trace().header.seed).Fork(kFallbackRngTag)),
+      probes_(fallback_oracle_, fallback_rng_, &source_, /*recorder=*/nullptr) {
   const DecisionTrace& trace = source_.trace();
   devices_.reserve(trace.device_table.size());
   for (const DeviceTableEntry& entry : trace.device_table) {
@@ -185,91 +252,17 @@ double ReplayEnv::MeasuredP99(int device_id) {
 }
 
 double ReplayEnv::ProbeInferenceLatencyMs(int device_id, int batch, double gpu_fraction) {
-  const GpuDevice& dev = device(device_id);
-  ColocationMix mix;
-  mix.reserve(dev.trainings().size());
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused) {
-      mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-    }
-  }
-  uint64_t key = InferenceProbeKey(static_cast<uint32_t>(dev.inference().service_index), batch,
-                                   gpu_fraction, mix, dev.EffectiveComputeScale());
-  if (auto recorded = source_.TakeObservation(key)) {
-    return *recorded;
-  }
-  // Miss: the recorded run never asked this question (the counterfactual
-  // policy diverged into unexplored configurations). Answer from a private
-  // oracle seeded like the recorded one — approximate, but ground-truth
-  // shaped, which is the best an offline what-if can do.
-  const auto& tasks = ModelZoo::TrainingTasks();
-  std::vector<ColocatedTraining> colocated;
-  colocated.reserve(mix.size());
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused) {
-      colocated.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  double lat = fallback_oracle_
-                   .ObserveInferenceBatchLatency(ServiceOnDevice(device_id), batch, gpu_fraction,
-                                                 colocated, fallback_rng_)
-                   .total_ms();
-  return lat / dev.EffectiveComputeScale();
+  return probes_.InferenceLatencyMs(device(device_id), now_ms_, batch, gpu_fraction);
 }
 
 double ReplayEnv::ProbeTrainingIterMs(int device_id, int task_id, double train_fraction,
                                       int inf_batch, double inf_fraction) {
-  const GpuDevice& dev = device(device_id);
-  const TrainingInstance* instance = dev.FindTraining(task_id);
-  MUDI_CHECK(instance != nullptr);
-  const auto& tasks = ModelZoo::TrainingTasks();
-  const TrainingTaskSpec& spec = tasks[instance->type_index];
-
-  InferenceLoad load;
-  load.spec = &ServiceOnDevice(device_id);
-  load.batch_size = inf_batch > 0 ? inf_batch : dev.inference().batch_size;
-  load.gpu_fraction = inf_fraction > 0.0 ? inf_fraction : dev.inference().gpu_fraction;
   // The recorded run keyed probes on the monitor QPS at decision time, which
   // is exactly the value the policy read as feedback inside the decision —
   // the feedback cursor has already advanced past those reads.
-  load.qps = latest_qps_[static_cast<size_t>(device_id)];
-
-  double frac = train_fraction > 0.0 ? train_fraction : instance->gpu_fraction;
-  double clamped = std::clamp(frac, 0.02, 1.0);
-
-  // Mirror the live harness's hypothetical-swap construction exactly: the
-  // probe key embeds the swap factor, so any deviation here would turn
-  // recorded hits into misses.
-  TrainingInstance hypothetical = *instance;
-  if (inf_batch > 0) {
-    double inf_mem = InferenceMemoryMb(*load.spec, inf_batch);
-    double required = inf_mem;
-    for (const TrainingInstance& t : dev.trainings()) {
-      required += t.mem_required_mb;
-    }
-    double deficit = std::max(0.0, required - dev.memory_mb());
-    hypothetical.mem_swapped_mb = std::min(deficit, 0.85 * instance->mem_required_mb);
-  }
-  double swap_factor = SwapSlowdownFactor(hypothetical);
-
-  ColocationMix others_mix;
-  std::vector<ColocatedTraining> others;
-  for (const TrainingInstance& t : dev.trainings()) {
-    if (!t.paused && t.task_id != task_id) {
-      others_mix.emplace_back(static_cast<uint32_t>(t.type_index), t.gpu_fraction);
-      others.push_back(ColocatedTraining{&tasks[t.type_index], t.gpu_fraction});
-    }
-  }
-  uint64_t key = TrainingProbeKey(static_cast<uint32_t>(instance->type_index), clamped,
-                                  static_cast<uint32_t>(dev.inference().service_index),
-                                  load.batch_size, load.gpu_fraction, load.qps, others_mix,
-                                  swap_factor, dev.EffectiveComputeScale());
-  if (auto recorded = source_.TakeObservation(key)) {
-    return *recorded;
-  }
-  double iter = fallback_oracle_.ObserveTrainingIterationMs(spec, clamped, load, others,
-                                                            fallback_rng_);
-  return iter * swap_factor / dev.EffectiveComputeScale();
+  return probes_.TrainingIterMs(device(device_id), now_ms_,
+                                latest_qps_[static_cast<size_t>(device_id)], task_id,
+                                train_fraction, inf_batch, inf_fraction);
 }
 
 void ReplayEnv::RecordAction(ActionKind kind, int device_id, int arg, double value) {
@@ -352,7 +345,6 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
   }
 
   WhatIfResult result;
-  const auto& tasks = ModelZoo::TrainingTasks();
   for (size_t i = 0; i < trace.decisions.size(); ++i) {
     const TraceDecision& d = trace.decisions[i];
     uint64_t bound = i + 1 < trace.decisions.size() ? trace.decisions[i + 1].seq
@@ -360,79 +352,23 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
     env.AdvanceFeedback(bound);
     env.ApplyDecisionState(d);
 
-    DecisionRecorder* rec = options.recorder;
-    if (rec != nullptr) {
-      rec->BeginDecision(static_cast<HookKind>(d.hook), d.sim_ms, d.device_id, d.task_id,
-                         d.type_index);
+    StatusOr<int> whatif_choice = kNotSelectDevice;
+    {
+      DecisionScope scope(options.recorder, env.devices(), static_cast<HookKind>(d.hook),
+                          d.sim_ms, DecisionScope::Snapshot::kNone, d.device_id, d.task_id,
+                          d.type_index);
+      whatif_choice = DispatchDecision(policy, env, d, scope.recorder());
     }
-    WallTimer timer;
-    int whatif_choice = -2;  // sentinel: not a SelectDevice decision
-    switch (static_cast<HookKind>(d.hook)) {
-      case HookKind::kInitialize:
-        policy.Initialize(env);
-        break;
-      case HookKind::kSelectDevice: {
-        MUDI_CHECK_GE(d.type_index, 0);
-        TrainingTaskInfo info;
-        info.task_id = d.task_id;
-        info.type_index = static_cast<size_t>(d.type_index);
-        info.spec = &tasks[info.type_index];
-        whatif_choice = policy.SelectDevice(env, info).value_or(-1);
-        if (rec != nullptr) {
-          rec->SetChosenDevice(whatif_choice);
-        }
-        break;
-      }
-      case HookKind::kOnTrainingPlaced: {
-        MUDI_CHECK_GE(d.type_index, 0);
-        TrainingTaskInfo info;
-        info.task_id = d.task_id;
-        info.type_index = static_cast<size_t>(d.type_index);
-        info.spec = &tasks[info.type_index];
-        policy.OnTrainingPlaced(env, d.device_id, info);
-        break;
-      }
-      case HookKind::kOnTrainingCompleted:
-        policy.OnTrainingCompleted(env, d.device_id, d.task_id);
-        break;
-      case HookKind::kOnQpsChange:
-        policy.OnQpsChange(env, d.device_id);
-        break;
-      case HookKind::kOnDeviceFailed: {
-        std::vector<TrainingTaskInfo> displaced;
-        displaced.reserve(d.displaced.size());
-        for (const auto& [task_id, type_index] : d.displaced) {
-          TrainingTaskInfo info;
-          info.task_id = task_id;
-          info.type_index = type_index;
-          info.spec = &tasks[type_index];
-          displaced.push_back(info);
-          if (rec != nullptr) {
-            rec->AddDisplaced(task_id, type_index);
-          }
-        }
-        policy.OnDeviceFailed(env, d.device_id, displaced);
-        break;
-      }
-      case HookKind::kOnDeviceRecovered:
-        policy.OnDeviceRecovered(env, d.device_id);
-        break;
-      case HookKind::kOnControlPlaneRestart:
-        policy.OnControlPlaneRestart(env);
-        break;
-      default:
-        return InternalError("unknown hook kind in decision trace");
-    }
-    if (rec != nullptr) {
-      rec->EndDecision(timer.ElapsedMs() * 1000.0);
+    if (!whatif_choice.ok()) {
+      return whatif_choice.status();
     }
 
     std::vector<TraceAction> whatif_actions = env.TakeActions();
     bool diverged = false;
     std::string detail;
-    if (whatif_choice != -2 && whatif_choice != d.chosen_device) {
+    if (*whatif_choice != kNotSelectDevice && *whatif_choice != d.chosen_device) {
       diverged = true;
-      detail = FormatChoiceDivergence(d, whatif_choice);
+      detail = FormatChoiceDivergence(d, *whatif_choice);
     } else if (!SameActions(d.actions, whatif_actions)) {
       diverged = true;
       detail = FormatActionDivergence(d, whatif_actions);

@@ -28,6 +28,7 @@
 #include "src/gpu/gpu_device.h"
 #include "src/gpu/perf_oracle.h"
 #include "src/replay/decision_recorder.h"
+#include "src/replay/probe.h"
 #include "src/replay/replay_source.h"
 
 namespace mudi {
@@ -104,6 +105,7 @@ class ReplayEnv : public SchedulingEnv {
   // with its own noise stream (misses are approximate by construction).
   PerfOracle fallback_oracle_;
   Rng fallback_rng_;
+  ProbePipeline probes_;  // answers Probe* from source_, then the fallback
 };
 
 // Replays every recorded decision through `policy`. The policy must be

@@ -52,12 +52,24 @@ bool ReadLenString(std::istream& is, std::string* out) {
   if (!ReadRaw(is, &len) || len > (1u << 28)) {
     return false;
   }
-  out->resize(len);
-  if (len > 0) {
-    is.read(out->data(), len);
+  // Grow with the bytes actually read, so a corrupt length costs at most one
+  // chunk beyond the input instead of a 256 MiB allocation up front.
+  out->clear();
+  char chunk[4096];
+  while (len > 0) {
+    uint32_t n = std::min<uint32_t>(len, sizeof(chunk));
+    if (!is.read(chunk, n)) {
+      return false;
+    }
+    out->append(chunk, n);
+    len -= n;
   }
-  return !is.fail();
+  return true;
 }
+
+// Upper bound on the events reserved from the header's count before any
+// event has been read: a corrupt count must not size the vector.
+constexpr uint64_t kMaxEventReserve = uint64_t{1} << 16;
 
 }  // namespace
 
@@ -175,11 +187,15 @@ bool ReadBinaryTrace(std::istream& is, ParsedTrace* out, std::string* error) {
   if (!ReadRaw(is, &num_strings)) {
     return fail("truncated string table");
   }
-  std::vector<std::string> table(num_strings);
+  // Counts come from the (possibly corrupt) input, so containers grow with
+  // the entries actually read instead of being sized from the count.
+  std::vector<std::string> table;
   for (uint32_t i = 0; i < num_strings; ++i) {
-    if (!ReadLenString(is, &table[i])) {
+    std::string entry;
+    if (!ReadLenString(is, &entry)) {
       return fail("truncated string table entry");
     }
+    table.push_back(std::move(entry));
   }
   auto lookup = [&](uint32_t idx, std::string* s) {
     if (idx >= table.size()) {
@@ -188,7 +204,7 @@ bool ReadBinaryTrace(std::istream& is, ParsedTrace* out, std::string* error) {
     *s = table[idx];
     return true;
   };
-  out->events.reserve(event_count);
+  out->events.reserve(std::min(event_count, kMaxEventReserve));
   for (uint64_t i = 0; i < event_count; ++i) {
     TraceEvent e;
     int32_t pid = 0;

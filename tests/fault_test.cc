@@ -702,31 +702,6 @@ TEST(CtrlFaultRecoveryTest, WatchLossReestablishesAndCatchesUp) {
   EXPECT_GT(result.ctrl.configs_applied, 0u);
 }
 
-TEST(CtrlFaultRecoveryTest, DeleteEventsFlagPreservesFailoverOutcome) {
-  // The PR-2 failover scenario must be byte-identical with tombstone delete
-  // events off (the default) and still pass with them on: nothing in the
-  // experiment watches the deleted subtrees, so only the revision counter
-  // differs.
-  ExperimentOptions options = SmallClusterOptions(10);
-  options.fault_plan.FailDevice(1, 30.0 * kMsPerSecond, 45.0 * kMsPerSecond);
-
-  ExperimentResult off = RunMudi(options);
-  ExperimentOptions with_events = options;
-  with_events.registry_delete_events = true;
-  ExperimentResult on = RunMudi(with_events);
-
-  for (const ExperimentResult* result : {&off, &on}) {
-    EXPECT_EQ(result->CompletedTasks(), 10u);
-    EXPECT_EQ(result->faults.devices_recovered, 1u);
-  }
-  EXPECT_DOUBLE_EQ(off.makespan_ms, on.makespan_ms);
-  ASSERT_EQ(off.tasks.size(), on.tasks.size());
-  for (size_t i = 0; i < off.tasks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(off.tasks[i].completion_ms, on.tasks[i].completion_ms);
-    EXPECT_EQ(off.tasks[i].failures, on.tasks[i].failures);
-  }
-}
-
 TEST(CtrlFaultRecoveryTest, CtrlChaosRunsAreDeterministic) {
   ExperimentOptions options = SmallClusterOptions(8);
   options.ctrl_fault_plan.DegradeWatches(100.0, 100.0, 0.1);

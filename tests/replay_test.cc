@@ -17,8 +17,10 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
 #include "src/gpu/perf_oracle.h"
@@ -166,6 +168,29 @@ TEST(TraceHeaderTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->service_offset, header.service_offset);
 }
 
+TEST(TraceHeaderTest, EscapesEveryControlByte) {
+  // Every byte 0x01-0x1f plus the two printable characters a JSON string
+  // must escape: none may reach the header line raw, and all read back.
+  std::string name = "name";
+  for (int c = 0x01; c < 0x20; ++c) {
+    name += static_cast<char>(c);
+  }
+  name += "\"\\end";
+  TraceHeader header = SampleHeader();
+  header.policy = name;
+  header.base_policy = name;
+  std::string line = EncodeTraceHeader(header);
+  for (char c : line) {
+    ASSERT_GE(static_cast<unsigned char>(c), 0x20u) << line;
+  }
+  StatusOr<JsonValue> parsed = ParseJson(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->Find("policy")->string(), name);
+  StatusOr<TraceHeader> decoded = DecodeTraceHeader(line);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().message();
+  EXPECT_EQ(decoded->base_policy, name);
+}
+
 TEST(TraceHeaderTest, RejectsWrongSchemaAndMode) {
   EXPECT_FALSE(DecodeTraceHeader("not json at all").ok());
   EXPECT_FALSE(DecodeTraceHeader("{\"schema\":\"mudi.perf.v1\"}").ok());
@@ -284,6 +309,65 @@ TEST(TraceCorruptionTest, RejectsTrailingGarbage) {
 TEST(TraceCorruptionTest, RejectsHeaderOnlyAndEmptyInput) {
   EXPECT_FALSE(ParseDecisionTrace("", "mem").ok());
   EXPECT_FALSE(ParseDecisionTrace("{\"schema\":\"bogus\"}\n", "mem").ok());
+}
+
+// Parses `bytes`; returns whether the trace was accepted and checks that a
+// rejection always carries an error message.
+bool ParsesAsDecisionTrace(const std::string& bytes) {
+  StatusOr<DecisionTrace> trace = ParseDecisionTrace(bytes, "mem");
+  EXPECT_TRUE(trace.ok() || !trace.status().message().empty())
+      << "rejected without an error message";
+  return trace.ok();
+}
+
+TEST(TraceCorruptionTest, RejectsEveryTruncation) {
+  const std::string bytes = SampleTraceBytes();
+  ASSERT_TRUE(ParsesAsDecisionTrace(bytes));
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(ParsesAsDecisionTrace(bytes.substr(0, n))) << "prefix of " << n << " bytes";
+  }
+}
+
+TEST(TraceCorruptionTest, SurvivesFlippedBytes) {
+  const std::string bytes = SampleTraceBytes();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      ParsesAsDecisionTrace(flipped);
+    }
+  }
+}
+
+TEST(TraceCorruptionTest, RejectsOversizedLengthsAndCounts) {
+  const std::string bytes = SampleTraceBytes();
+  // The first record is the device table: [u32 payload length][u8 kind]
+  // [u32 entry count]...; the run summary's service name is a u32-length-
+  // prefixed string just before its bytes.
+  const size_t first_record = bytes.find('\n') + 1;
+  const size_t service_name = bytes.find("svc0");
+  ASSERT_NE(service_name, std::string::npos);
+  for (size_t offset : {first_record, first_record + 5, service_name - 4}) {
+    std::string corrupt = bytes;
+    for (size_t i = 0; i < 4; ++i) {
+      corrupt[offset + i] = static_cast<char>(0xFF);
+    }
+    EXPECT_FALSE(ParsesAsDecisionTrace(corrupt)) << "offset " << offset;
+  }
+  // Header numbers that do not fit their fields.
+  const std::pair<std::string, std::string> edits[] = {
+      {"\"seed\":17", "\"seed\":1e300"},
+      {"\"oracle_seed\":42", "\"oracle_seed\":18446744073709551616"},
+      {"\"num_devices\":4", "\"num_devices\":4294967296"},
+      {"\"num_services\":4", "\"num_services\":1e30"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string corrupt = bytes;
+    size_t pos = corrupt.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    corrupt.replace(pos, from.size(), to);
+    EXPECT_FALSE(ParsesAsDecisionTrace(corrupt)) << to;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -464,21 +548,29 @@ TEST(ReplayEndToEndTest, RecordedTraceCapturesTheRun) {
 }
 
 TEST(ReplayEndToEndTest, SamePolicyWhatIfReproducesEveryDecision) {
+  // Every policy that probes: the live run and the what-if key their probes
+  // through the same pipeline, so replaying a policy over its own trace must
+  // answer every probe from the recording (no miss falls back to the oracle).
   ExperimentOptions options = SmallOptions(/*seed=*/67);
-  std::string path = RecordRun("Mudi", options, "e2e_whatif_same.trace");
-  StatusOr<ReplaySource> source = ReplaySource::Load(path);
-  ASSERT_TRUE(source.ok()) << source.status().message();
+  for (const char* policy_name :
+       {"Mudi", "Mudi-more", "Mudi-cluster-only", "Mudi-device-only", "GSLICE", "gpulets"}) {
+    SCOPED_TRACE(policy_name);
+    std::string path = RecordRun(policy_name, options, "e2e_whatif_same.trace");
+    StatusOr<ReplaySource> source = ReplaySource::Load(path);
+    ASSERT_TRUE(source.ok()) << source.status().message();
 
-  PerfOracle profiling_oracle(source->trace().header.oracle_seed);
-  auto policy = MakePolicy("Mudi", profiling_oracle);
-  StatusOr<WhatIfResult> result = RunWhatIf(*source, *policy);
-  ASSERT_TRUE(result.ok()) << result.status().message();
-  EXPECT_EQ(result->decisions_replayed, source->trace().decisions.size());
-  EXPECT_FALSE(result->diverged) << result->first_divergence_detail;
-  EXPECT_EQ(result->diverged_decisions, 0u);
-  // Non-vacuous: the what-if genuinely consulted the recorded observations.
-  EXPECT_GT(result->probe_hits, 0u);
-  std::remove(path.c_str());
+    PerfOracle profiling_oracle(source->trace().header.oracle_seed);
+    auto policy = MakePolicy(policy_name, profiling_oracle);
+    StatusOr<WhatIfResult> result = RunWhatIf(*source, *policy);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result->decisions_replayed, source->trace().decisions.size());
+    EXPECT_FALSE(result->diverged) << result->first_divergence_detail;
+    EXPECT_EQ(result->diverged_decisions, 0u);
+    // Non-vacuous: the what-if genuinely consulted the recorded observations.
+    EXPECT_GT(result->probe_hits, 0u);
+    EXPECT_EQ(result->probe_misses, 0u);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ReplayEndToEndTest, DifferentPolicyDivergesAndTraceDiffPinpointsIt) {

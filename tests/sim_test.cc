@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <queue>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -455,7 +456,9 @@ TEST(SimulatorTest, ArenaReusesSlotsAfterCancel) {
 // Reference engine for the differential test below: the binary-heap design
 // the simulator had before its calendar queue and event arena (DESIGN.md
 // §12). Events fire in (time, scheduling order); a cancelled event is
-// forgotten and its heap entry skipped when it surfaces.
+// forgotten and its heap entry skipped when it surfaces. A periodic event is
+// re-armed with a fresh scheduling order before its callback runs, so the
+// callback can cancel its own id.
 class ReferenceEngine {
  public:
   using EventId = uint64_t;
@@ -463,9 +466,13 @@ class ReferenceEngine {
   double Now() const { return now_; }
 
   EventId ScheduleAt(double t, std::function<void()> cb) {
+    return SchedulePeriodic(t, /*period=*/0.0, std::move(cb));
+  }
+
+  EventId SchedulePeriodic(double start, double period, std::function<void()> cb) {
     EventId id = next_id_++;
-    heap_.push({t, id});
-    pending_[id] = std::move(cb);
+    heap_.push({start, next_seq_++, id});
+    pending_[id] = Pending{period, std::move(cb)};
     return id;
   }
 
@@ -473,29 +480,43 @@ class ReferenceEngine {
 
   void RunUntilIdle() {
     while (!heap_.empty()) {
-      auto [t, id] = heap_.top();
+      auto [t, seq, id] = heap_.top();
       heap_.pop();
       auto it = pending_.find(id);
       if (it == pending_.end()) {
         continue;
       }
-      std::function<void()> cb = std::move(it->second);
-      pending_.erase(it);
       now_ = t;
+      if (it->second.period > 0.0) {
+        heap_.push({t + it->second.period, next_seq_++, id});
+        std::function<void()> cb = it->second.cb;  // a copy: the call may cancel `id`
+        cb();
+        continue;
+      }
+      std::function<void()> cb = std::move(it->second.cb);
+      pending_.erase(it);
       cb();
     }
   }
 
  private:
-  using Entry = std::pair<double, EventId>;
+  struct Pending {
+    double period = 0.0;  // > 0: periodic
+    std::function<void()> cb;
+  };
+  using Entry = std::tuple<double, uint64_t, EventId>;  // (time, seq, id)
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap_;
-  std::map<EventId, std::function<void()>> pending_;
+  std::map<EventId, Pending> pending_;
   double now_ = 0.0;
   EventId next_id_ = 1;
+  uint64_t next_seq_ = 0;
 };
 
 // One seeded stream of schedules and cancels, some issued from inside firing
-// callbacks, replayed against an engine. The log holds every firing as
+// callbacks, replayed against an engine. About one event in ten is periodic:
+// it re-arms until it cancels itself from inside its own callback after a
+// drawn number of firings, unless a cancel from elsewhere (another callback,
+// or before the run starts) stops it first. The log holds every firing as
 // (time, label) and every cancel as (time, -1 if it took effect else -2).
 template <typename Engine>
 class EngineScenario {
@@ -542,16 +563,45 @@ class EngineScenario {
     return Grid(now, 1e5) + 1e5 * static_cast<double>(rng_.UniformInt(1, 10));
   }
 
+  // Periods that re-arm into the bucket being drained, onto the 500 ms grid
+  // (ties with grid events), across the calendar window, and into the
+  // overflow heap.
+  double NextPeriod() {
+    double u = rng_.Uniform();
+    if (u < 0.3) {
+      return rng_.Uniform(0.1, 2.0);
+    }
+    if (u < 0.6) {
+      return 500.0;
+    }
+    if (u < 0.9) {
+      return rng_.Uniform(1.0, 20000.0);
+    }
+    return 1e5;
+  }
+
   static double Grid(double t, double step) { return std::ceil(t / step) * step; }
 
   void Schedule() {
     int label = static_cast<int>(ids_.size());
-    ids_.push_back(engine_.ScheduleAt(NextTime(), [this, label] { Fire(label); }));
+    if (rng_.Uniform() < 0.1) {
+      double start = NextTime();
+      double period = NextPeriod();
+      fires_left_.push_back(static_cast<int>(rng_.UniformInt(1, 6)));
+      ids_.push_back(engine_.SchedulePeriodic(start, period, [this, label] { Fire(label); }));
+    } else {
+      fires_left_.push_back(0);
+      ids_.push_back(engine_.ScheduleAt(NextTime(), [this, label] { Fire(label); }));
+    }
   }
 
   void CancelRandom() {
     size_t victim = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(ids_.size()) - 1));
-    log_.emplace_back(engine_.Now(), engine_.Cancel(ids_[victim]) ? -1 : -2);
+    Cancel(victim);
+  }
+
+  void Cancel(size_t label) {
+    log_.emplace_back(engine_.Now(), engine_.Cancel(ids_[label]) ? -1 : -2);
   }
 
   void Fire(int label) {
@@ -562,26 +612,44 @@ class EngineScenario {
     if (rng_.Uniform() < 0.2) {
       CancelRandom();
     }
+    if (fires_left_[static_cast<size_t>(label)] > 0 &&
+        --fires_left_[static_cast<size_t>(label)] == 0) {
+      Cancel(static_cast<size_t>(label));  // a periodic event stopping itself
+    }
   }
 
   Engine engine_;
   Rng rng_;
   std::vector<typename Engine::EventId> ids_;
+  std::vector<int> fires_left_;  // per label; 0 for one-shot events
   Log log_;
 };
 
 // Differential check of the calendar queue + arena against the heap
 // reference: the exact firing order, times and cancel outcomes must match.
 TEST(SimulatorTest, MatchesPriorityQueueReference) {
+  size_t refires = 0;  // firings of a label that already fired: periodic re-arms
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     auto actual = EngineScenario<Simulator>(seed).Run();
     auto expected = EngineScenario<ReferenceEngine>(seed).Run();
+    std::vector<bool> fired;
+    for (const auto& [time, label] : expected) {
+      if (label < 0) {
+        continue;
+      }
+      if (static_cast<size_t>(label) >= fired.size()) {
+        fired.resize(static_cast<size_t>(label) + 1, false);
+      }
+      refires += fired[static_cast<size_t>(label)] ? 1 : 0;
+      fired[static_cast<size_t>(label)] = true;
+    }
     auto [got, want] =
         std::mismatch(actual.begin(), actual.end(), expected.begin(), expected.end());
     EXPECT_TRUE(got == actual.end() && want == expected.end())
         << "seed " << seed << ": first divergence at entry " << (want - expected.begin())
         << " of " << expected.size() << " (simulator logged " << actual.size() << ")";
   }
+  EXPECT_GT(refires, 100u);
 }
 
 }  // namespace

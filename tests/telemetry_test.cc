@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
 #include "src/telemetry/metrics_registry.h"
@@ -331,6 +336,143 @@ TEST(TraceReaderTest, SurvivesFlippedBytes) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Corrupt binary-trace input: rejected with an error, never a crash
+// ---------------------------------------------------------------------------
+
+std::string SampleBinaryTrace() {
+  std::ostringstream os;
+  MakeSampleRecorder().WriteBinary(os);
+  return os.str();
+}
+
+// Reads `bytes` as a binary trace; returns whether it was accepted and checks
+// that a rejection always carries an error message.
+bool ReadsAsBinaryTrace(const std::string& bytes) {
+  std::istringstream is(bytes);
+  ParsedTrace trace;
+  std::string error;
+  bool ok = telemetry::ReadBinaryTrace(is, &trace, &error);
+  EXPECT_TRUE(ok || !error.empty()) << "rejected without an error message";
+  return ok;
+}
+
+void PutLittleEndian(std::string& bytes, size_t offset, uint64_t value, size_t width) {
+  ASSERT_LE(offset + width, bytes.size());
+  for (size_t i = 0; i < width; ++i) {
+    bytes[offset + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+  }
+}
+
+TEST(BinaryTraceReaderTest, RejectsEveryTruncation) {
+  const std::string bytes = SampleBinaryTrace();
+  ASSERT_TRUE(ReadsAsBinaryTrace(bytes));
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    EXPECT_FALSE(ReadsAsBinaryTrace(bytes.substr(0, n))) << "prefix of " << n << " bytes";
+  }
+}
+
+TEST(BinaryTraceReaderTest, SurvivesFlippedBytes) {
+  const std::string bytes = SampleBinaryTrace();
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x20, 0x80}) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      ReadsAsBinaryTrace(flipped);
+    }
+  }
+}
+
+TEST(BinaryTraceReaderTest, RejectsOversizedLengthsAndCounts) {
+  // Layout: "MUDITRC1", u64 event count, u64 dropped, u64 recorded, then the
+  // u32-length-prefixed process name ("test-process"), the u32 thread count
+  // and two {i32 tid, u32 len, "gpuN"} entries, then the u32 string count.
+  const std::string bytes = SampleBinaryTrace();
+  const size_t name_len_at = 32;
+  const size_t threads_at = name_len_at + 4 + std::string("test-process").size();
+  const size_t strings_at = threads_at + 4 + 2 * (4 + 4 + 4);
+  struct Edit {
+    size_t offset;
+    uint64_t value;
+    size_t width;
+  };
+  const Edit edits[] = {
+      {8, ~uint64_t{0}, 8},                // event count
+      {name_len_at, 0xFFFFFFFFu, 4},        // process-name length past the cap
+      {name_len_at, uint64_t{1} << 28, 4},  // at the cap, but the input is short
+      {threads_at, 0xFFFFFFFFu, 4},         // thread count
+      {strings_at, 0xFFFFFFFFu, 4},         // string-table count
+  };
+  for (const Edit& edit : edits) {
+    std::string corrupt = bytes;
+    PutLittleEndian(corrupt, edit.offset, edit.value, edit.width);
+    EXPECT_FALSE(ReadsAsBinaryTrace(corrupt)) << "offset " << edit.offset;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The shared JSON writer: no raw control byte reaches any document
+// ---------------------------------------------------------------------------
+
+// Every byte 0x01-0x1f plus the two printable characters a JSON string must
+// escape.
+std::string HostileName() {
+  std::string name = "name";
+  for (int c = 0x01; c < 0x20; ++c) {
+    name += static_cast<char>(c);
+  }
+  return name + "\"\\end";
+}
+
+bool HasRawControlByte(const std::string& text) {
+  return std::any_of(text.begin(), text.end(),
+                     [](char c) { return static_cast<unsigned char>(c) < 0x20; });
+}
+
+TEST(JsonWriterTest, SharedWriterEscapesEveryControlByte) {
+  std::ostringstream os;
+  WriteJsonString(os, HostileName());
+  EXPECT_FALSE(HasRawControlByte(os.str())) << os.str();
+  StatusOr<JsonValue> parsed = ParseJson(os.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(parsed->string(), HostileName());
+}
+
+TEST(JsonWriterTest, MetricsJsonEscapesEveryControlByte) {
+  MetricsRegistry registry;
+  registry.GetCounter(HostileName()).Increment();
+  std::ostringstream os;
+  registry.WriteJson(os);
+  EXPECT_FALSE(HasRawControlByte(os.str())) << os.str();
+  StatusOr<JsonValue> parsed = ParseJson(os.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  const JsonValue* counters = parsed->Find("counters");
+  ASSERT_NE(counters, nullptr);
+  ASSERT_EQ(counters->object().size(), 1u);
+  EXPECT_EQ(counters->object()[0].first, HostileName());
+}
+
+TEST(JsonWriterTest, MetricsJsonlLabelStaysOnOneLine) {
+  TelemetryOptions options;
+  options.enabled = true;
+  options.metrics_json = ::testing::TempDir() + "json_writer_label.jsonl";
+  std::remove(options.metrics_json.c_str());
+  {
+    Telemetry telemetry(options);
+    telemetry.Flush(HostileName());
+  }
+  std::ifstream in(options.metrics_json);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_FALSE(HasRawControlByte(line)) << line;
+  StatusOr<JsonValue> parsed = ParseJson(line);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_NE(parsed->Find("label"), nullptr);
+  EXPECT_EQ(parsed->Find("label")->string(), HostileName());
+  EXPECT_FALSE(std::getline(in, line)) << "a second line: " << line;
+  std::remove(options.metrics_json.c_str());
 }
 
 // ---------------------------------------------------------------------------
