@@ -5,7 +5,6 @@
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
@@ -61,7 +60,6 @@ void GpuletsPolicy::Retune(SchedulingEnv& env, int device_id) {
 }
 
 std::optional<int> GpuletsPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   // Best-fit: the device whose residual slice after the inference gpulet is
   // smallest but still above the training minimum.
   std::vector<int> eligible =
@@ -87,7 +85,6 @@ std::optional<int> GpuletsPolicy::SelectDevice(SchedulingEnv& env, const Trainin
   if (!best.has_value() && !eligible.empty()) {
     best = eligible.front();
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 

@@ -5,7 +5,6 @@
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
@@ -18,7 +17,6 @@ GslicePolicy::GslicePolicy(Options options) : options_(options) {
 }
 
 std::optional<int> GslicePolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   // No interference model: least-loaded device (fewest resident trainings,
   // then lowest memory pressure).
   std::vector<int> eligible =
@@ -34,7 +32,6 @@ std::optional<int> GslicePolicy::SelectDevice(SchedulingEnv& env, const Training
       best = id;
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 

@@ -6,7 +6,6 @@
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 
 namespace mudi {
@@ -94,7 +93,6 @@ double MuxflowPolicy::MinTableFraction(size_t service_index, size_t training_typ
 
 std::optional<int> MuxflowPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
   MUDI_CHECK(initialized_);
-  WallTimer timer;
   std::vector<int> eligible =
       EligibleDevices(env, task, MaxTrainingsPerDevice(), /*require_fit=*/true);
   // Matching score: the SLO-safety margin the table promises for this pair
@@ -121,7 +119,6 @@ std::optional<int> MuxflowPolicy::SelectDevice(SchedulingEnv& env, const Trainin
       best = id;
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best;
 }
 

@@ -5,7 +5,6 @@
 
 #include "src/baselines/baseline_util.h"
 #include "src/common/check.h"
-#include "src/common/wallclock.h"
 #include "src/perf/perf_collector.h"
 #include "src/workload/models.h"
 
@@ -113,7 +112,6 @@ void OptimalPolicy::ApplyConfig(SchedulingEnv& env, int device_id, const BestCon
 }
 
 std::optional<int> OptimalPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
-  WallTimer timer;
   std::vector<int> eligible =
       EligibleDevices(env, task, MaxTrainingsPerDevice(), /*require_fit=*/false);
   if (eligible.size() > options_.max_devices_scanned) {
@@ -133,7 +131,6 @@ std::optional<int> OptimalPolicy::SelectDevice(SchedulingEnv& env, const Trainin
   if (best_device.has_value()) {
     pending_[task.task_id] = best;
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return best_device;
 }
 

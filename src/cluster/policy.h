@@ -69,7 +69,9 @@ class SchedulingEnv {
 
   // The inference service hosted on a device (every device hosts exactly one
   // replica in the paper's deployment).
-  virtual const InferenceServiceSpec& ServiceOnDevice(int device_id) const = 0;
+  virtual const InferenceServiceSpec& ServiceOnDevice(int device_id) const {
+    return ServiceOf(device(device_id).inference());
+  }
 
   // Monitor-measured arrival rate / windowed P99 of the device's service.
   virtual double MeasuredQps(int device_id) = 0;
@@ -95,7 +97,10 @@ class SchedulingEnv {
 
   // True when the task's full working set fits device memory alongside the
   // current residents (no swap needed).
-  virtual bool CanFitTraining(int device_id, const TrainingTaskSpec& spec) const = 0;
+  virtual bool CanFitTraining(int device_id, const TrainingTaskSpec& spec) const {
+    const GpuDevice& dev = device(device_id);
+    return dev.MemoryRequiredMb() + TrainingMemoryMb(spec) <= dev.memory_mb();
+  }
 
   // Ground truth — Optimal baseline ONLY (see file comment).
   virtual const PerfOracle& oracle() const = 0;
@@ -191,16 +196,14 @@ class MultiplexPolicy {
   // place where CanFitTraining holds.
   virtual bool SupportsMemorySwap() const { return false; }
 
-  // --- overhead accounting (Fig. 18) ---
-  const std::vector<double>& placement_overheads_ms() const { return placement_overheads_ms_; }
+  // Tuning iterations per device-level decision (Fig. 18). Placement
+  // overheads are timed by the harness around every SelectDevice call.
   const std::vector<size_t>& tuning_iterations() const { return tuning_iterations_; }
 
  protected:
-  void RecordPlacementOverhead(double ms) { placement_overheads_ms_.push_back(ms); }
   void RecordTuningIterations(size_t n) { tuning_iterations_.push_back(n); }
 
  private:
-  std::vector<double> placement_overheads_ms_;
   std::vector<size_t> tuning_iterations_;
 };
 

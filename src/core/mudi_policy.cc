@@ -7,7 +7,6 @@
 #include "src/cluster/replay_hooks.h"
 #include "src/common/check.h"
 #include "src/common/logging.h"
-#include "src/common/wallclock.h"
 #include "src/ml/fit_cache.h"
 #include "src/perf/perf_collector.h"
 #include "src/telemetry/telemetry.h"
@@ -140,7 +139,6 @@ std::vector<size_t> MudiPolicy::DeviceMix(const GpuDevice& device) {
 
 std::optional<int> MudiPolicy::SelectDevice(SchedulingEnv& env, const TrainingTaskInfo& task) {
   MUDI_CHECK(initialized_);
-  WallTimer timer;
   std::optional<int> choice;
   if (options_.cluster_policy == ClusterPolicy::kSlopeBased) {
     choice = selector_->Select(env, task);
@@ -157,7 +155,6 @@ std::optional<int> MudiPolicy::SelectDevice(SchedulingEnv& env, const TrainingTa
           rng_.UniformInt(0, static_cast<int64_t>(eligible.size()) - 1))];
     }
   }
-  RecordPlacementOverhead(timer.ElapsedMs());
   return choice;
 }
 

@@ -13,23 +13,20 @@
 #ifndef SRC_EXP_CLUSTER_EXPERIMENT_H_
 #define SRC_EXP_CLUSTER_EXPERIMENT_H_
 
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/cluster/cluster_state.h"
 #include "src/cluster/kv_store.h"
-#include "src/cluster/monitor.h"
 #include "src/cluster/policy.h"
 #include "src/cluster/task_queue.h"
 #include "src/common/rng.h"
-#include "src/sim/retry.h"
-#include "src/core/memory_manager.h"
+#include "src/exp/control_plane.h"
 #include "src/exp/metrics.h"
-#include "src/fault/control_fault_injector.h"
+#include "src/exp/serving_replica.h"
+#include "src/exp/training_runner.h"
 #include "src/fault/control_fault_plan.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
@@ -69,19 +66,8 @@ struct ExperimentOptions {
   // Liveness backstop for horizon_ms == 0: stop anyway after this much
   // virtual time (sustained-overload scenarios can leave training paused
   // indefinitely — §5.3.2's "until suitable resources become available").
+  // ExperimentResult::stopped_by_backstop says when a run ended here.
   TimeMs max_sim_ms = 4.0 * kMsPerHour;
-  // Extra time simulated after the last completion (lets SLO windows close).
-  TimeMs drain_ms = 5.0 * kMsPerSecond;
-
-  TimeMs monitor_period_ms = 2.0 * kMsPerSecond;
-  // Forced per-device re-tune period: the 50% QPS-change threshold is an
-  // edge trigger and can latch a transient rate (e.g. mid-burst decay);
-  // periodic reconciliation bounds how long a stale config can persist.
-  TimeMs periodic_retune_ms = 30.0 * kMsPerSecond;
-  TimeMs slo_window_ms = 10.0 * kMsPerSecond;
-  TimeMs util_sample_ms = 1.0 * kMsPerSecond;
-  // Shadow-instance switchover for GPU% reconfiguration (§5.3.2).
-  TimeMs reconfig_latency_ms = 1.5 * kMsPerSecond;
 
   // Arrival-cohort tick: 0 = auto (SLO/15 clamped to [5, 100] ms).
   TimeMs arrival_tick_ms = 0.0;
@@ -90,24 +76,14 @@ struct ExperimentOptions {
   // schedules nothing and leaves the run byte-identical to one without any
   // fault machinery.
   FaultPlan fault_plan;
-  // Periodic training-checkpoint interval: a task displaced by a device
-  // failure resumes from its last checkpoint (progress since then is lost).
-  TimeMs checkpoint_period_ms = 60.0 * kMsPerSecond;
 
   // Control-plane fault schedule (degraded KvStore watches/reads, partition
   // windows, watch loss, scheduler crashes), armed when Run() starts. While
   // the plan is non-empty the scheduler's inference configs travel through
-  // the registry (Put + watch) instead of being applied directly, and its
-  // reads route through CtrlGet/CtrlList + retry. An empty plan adds zero
-  // events and zero registry traffic: the run stays byte-identical to one
-  // without any control-fault machinery (ctrl_fault_test pins this).
+  // the registry (Put + watch) instead of being applied directly; see
+  // src/exp/control_plane.h. An empty plan adds zero events and zero
+  // registry traffic.
   ControlFaultPlan ctrl_fault_plan;
-  // Scheduler state-checkpoint period while the control fault domain is
-  // active: the coordinator heartbeats its epoch into the registry so the
-  // recovery scan can tell how stale its view is.
-  TimeMs ctrl_checkpoint_period_ms = 10.0 * kMsPerSecond;
-  // Backoff discipline for control-plane reads and watch re-establishment.
-  RetryPolicy ctrl_retry;
 
   bool record_util_series = false;
   // Device id to trace for Fig. 16 (-1 = none).
@@ -141,7 +117,11 @@ struct ExperimentOptions {
   replay::ReplaySource* replay = nullptr;
 };
 
-class ClusterExperiment : public SchedulingEnv, public FaultSink, public ControlFaultSink {
+// The wiring of one run: it places a ServingReplica on every device, hands
+// training to a TrainingRunner and config delivery to a ControlPlane, arms
+// the events, opens a decision scope around every policy hook, and
+// aggregates the result.
+class ClusterExperiment : public SchedulingEnv, public FaultSink {
  public:
   ClusterExperiment(ExperimentOptions options, MultiplexPolicy* policy);
   ~ClusterExperiment() override;
@@ -153,7 +133,6 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   TimeMs Now() const override;
   std::vector<GpuDevice>& devices() override;
   const GpuDevice& device(int device_id) const override;
-  const InferenceServiceSpec& ServiceOnDevice(int device_id) const override;
   double MeasuredQps(int device_id) override;
   double MeasuredP99(int device_id) override;
   double ProbeInferenceLatencyMs(int device_id, int batch, double gpu_fraction) override;
@@ -162,7 +141,6 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   void ApplyInferenceConfig(int device_id, int batch, double gpu_fraction) override;
   void ApplyTrainingFraction(int device_id, int task_id, double fraction) override;
   void SetTrainingPaused(int device_id, int task_id, bool paused) override;
-  bool CanFitTraining(int device_id, const TrainingTaskSpec& spec) const override;
   const PerfOracle& oracle() const override { return oracle_; }
   Telemetry* telemetry() override { return telemetry_.enabled() ? &telemetry_ : nullptr; }
   perf::PerfCollector* perf() override {
@@ -175,7 +153,6 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   // Bench_throughput divides this by wall time for sim-sec/wall-sec.
   TimeMs SimNowMs() const { return sim_.Now(); }
 
-  const PerfOracle& ground_truth() const { return oracle_; }
   const Telemetry& telemetry_sink() const { return telemetry_; }
   // Device registry (etcd-style): "/devices/<d>/status" plus one
   // "/devices/<d>/tasks/<task_id>" entry per resident training. A failed
@@ -189,126 +166,16 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   void OnFeedbackLost(int device_id, TimeMs now) override;
   void OnFeedbackRestored(int device_id, TimeMs now) override;
 
-  // --- ControlFaultSink (driven by the ControlFaultInjector) ---
-  void OnKvPartitionStart(TimeMs now) override;
-  void OnKvPartitionEnd(TimeMs now) override;
-  void OnWatchesLost(TimeMs now) override;
-  void OnSchedulerCrash(TimeMs restart_delay_ms, TimeMs now) override;
-
-  // Whether the scheduler process is up (always true without a control
-  // fault plan; exposed for tests).
-  bool scheduler_up() const { return scheduler_up_; }
-
  private:
-  struct Cohort {
-    TimeMs arrival_ms;
-    double count;
-  };
-
-  struct Replica {
-    std::shared_ptr<const QpsProfile> qps;
-    QpsMonitor monitor;
-    std::deque<Cohort> queue;
-    double queued = 0.0;
-    bool busy = false;
-    TimeMs busy_start = 0.0;
-    TimeMs busy_accum_ms = 0.0;  // busy time since last util sample
-    Simulator::EventId timeout_event = Simulator::kInvalidEventId;
-    // In-flight batch: its completion event and the request cohorts it
-    // carries, so a device failure can fail them instead of losing them.
-    // TryStartBatch forms the batch here and FinishBatch (or a failure)
-    // empties it; the capacity is kept for the next batch.
-    Simulator::EventId batch_event = Simulator::kInvalidEventId;
-    std::vector<std::pair<TimeMs, double>> inflight;  // (arrival, count)
-    // Pending GPU% reconfiguration (shadow instance warming up).
-    std::optional<std::pair<int, double>> pending_config;
-    Simulator::EventId pending_event = Simulator::kInvalidEventId;
-    // Per-device periodic events, cancellable at failure time.
-    Simulator::EventId arrival_event = Simulator::kInvalidEventId;
-    Simulator::EventId slo_event = Simulator::kInvalidEventId;
-    // While the device is down its traffic fails over to surviving replicas.
-    Simulator::EventId failover_event = Simulator::kInvalidEventId;
-    size_t reroute_cursor = 0;  // deterministic round-robin over survivors
-    // SLO window accounting. Weights are request counts (whole numbers),
-    // which WeightedP99 needs to match a sort exactly.
-    std::vector<std::pair<double, double>> window_latencies;  // (latency, weight)
-    // Failure touched this window (failed/re-routed requests landed in it):
-    // a violation is attributed to the fault, not to load.
-    bool window_failure_tainted = false;
-    size_t windows_total = 0;
-    size_t windows_violated = 0;
-    size_t windows_violated_failure = 0;
-    double latency_weighted_sum = 0.0;
-    double served = 0.0;
-    // Swap-time accounting.
-    double swapped_time_ms = 0.0;
-    double observed_time_ms = 0.0;
-    TimeMs last_trigger_ms = 0.0;
-  };
-
-  struct RunningTask {
-    int device_id = -1;
-    double speed = 0.0;  // full-GPU work ms per wall ms
-    TimeMs last_sync_ms = 0.0;
-    Simulator::EventId completion_event = Simulator::kInvalidEventId;
-    // Periodic-checkpoint state: the exact work level at the last checkpoint
-    // boundary, maintained lazily in SyncTrainingProgress (speed is constant
-    // between syncs, so boundary crossings are computed analytically).
-    TimeMs next_checkpoint_ms = 0.0;
-    double work_at_checkpoint = 0.0;
-  };
-
-  // --- serving path ---
-  void ArrivalTick(int device_id);
-  void TryStartBatch(int device_id);
-  void FinishBatch(int device_id, double latency_ms);
-  TimeMs WaitTimeoutMs(int device_id) const;
-  TimeMs ArrivalTickMs(int device_id) const;
-  void CloseSloWindow(int device_id);
-
-  // --- fault path ---
-  // Hands a cohort of the failed device's service to a surviving replica
-  // (round-robin), or counts it failed when none survives.
-  void RouteCohort(int failed_device, const Cohort& cohort);
-  // Poisson arrivals for a down replica, re-routed to survivors.
-  void FailoverArrivalTick(int failed_device);
-  // Checkpoint-rollback + requeue of every training on a dying device.
-  std::vector<TrainingTaskInfo> DisplaceTrainings(int device_id, TimeMs now);
-  std::string DeviceStatusKey(int device_id) const;
-  std::string DeviceTaskKey(int device_id, int task_id) const;
-
-  // --- control-plane path (active only with a non-empty ctrl_fault_plan) ---
-  std::string SchedConfigKey(int device_id) const;
-  // Turns on the degraded registry, registers per-device config watches,
-  // arms the control injector, and starts the coordinator heartbeat.
-  void StartControlPlane();
-  // Applies a batch/GPU% pair on the device agent (the pre-control-plane
-  // direct path; also the endpoint of a delivered config watch event).
+  // The device agent: applies a batch/GPU% pair (directly, or as the
+  // endpoint of a delivered config watch event).
   void ApplyInferenceConfigDirect(int device_id, int batch, double gpu_fraction);
-  // Watch endpoint: parse, guard revision monotonicity, apply.
-  void OnConfigDelivered(int device_id, const std::string& value, uint64_t revision);
-  void RegisterConfigWatch(int device_id);
-  // Catch-up read of a device's config through the control path (used after
-  // partitions heal and watches re-establish).
-  Status CatchUpConfig(int device_id);
-  // The recovery scan: reconstruct the scheduler's view from the registry.
-  Status AttemptSchedulerRecovery();
-  void FinishSchedulerRecovery();
-
-  // --- training path ---
-  void OnTrainingArrival(const TrainingArrival& arrival);
   void TryDispatchQueue();
-  void PlaceTask(const TrainingArrival& arrival, int device_id);
-  void SyncTrainingProgress(int device_id, int task_id);
-  void UpdateTrainingSpeeds(int device_id);
   void OnTrainingComplete(int device_id, int task_id);
-
-  // --- periodic ---
+  void OnSchedulerRecovered();
+  void UpdateTrainingSpeeds(int device_id);
   void MonitorTick();
   void UtilSampleTick();
-
-  InferenceLoad CurrentInferenceLoad(int device_id);
-  void RebalanceMemory(int device_id);
 
   ExperimentOptions options_;
   MultiplexPolicy* policy_;
@@ -319,11 +186,13 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   Rng rng_;
   Rng probe_rng_;
   replay::ProbePipeline probes_;  // answers Probe* from oracle_/probe_rng_
-  MemoryManager memory_manager_;
   TaskQueue queue_;
   KvStore registry_;
-  std::unique_ptr<FaultInjector> fault_injector_;
-  std::unique_ptr<ControlFaultInjector> ctrl_injector_;
+  ServingContext serving_;
+  std::vector<ServingReplica> replicas_;  // one per device, sized once
+  TrainingRunner training_;
+  ControlPlane control_;
+  FaultInjector fault_injector_;
 
   // Cached perf-region stats (null when unprofiled): resolved once in the
   // constructor so each profiled decision costs a branch plus two clock
@@ -331,61 +200,14 @@ class ClusterExperiment : public SchedulingEnv, public FaultSink, public Control
   perf::LatencyStat* perf_select_stat_ = nullptr;
   perf::LatencyStat* perf_place_stat_ = nullptr;
   perf::LatencyStat* perf_qps_stat_ = nullptr;
+  // Wall time of every SelectDevice call (Fig. 18).
+  std::vector<double> placement_overheads_ms_;
 
-  // Serving and SLO-window metric handles, resolved once in the constructor
-  // when telemetry is enabled (null otherwise), so no batch or window close
-  // looks a metric up by name.
-  telemetry::Counter* batches_counter_ = nullptr;
-  telemetry::Counter* requests_counter_ = nullptr;
-  telemetry::Counter* shed_counter_ = nullptr;
-  telemetry::Histogram* batch_latency_hist_ = nullptr;
-  telemetry::Counter* windows_total_counter_ = nullptr;
-  telemetry::Counter* windows_violated_counter_ = nullptr;
-  telemetry::Counter* windows_violated_failure_counter_ = nullptr;
-
-  // Co-location buffer for batch service and training-speed updates.
-  std::vector<ColocatedTraining> colocation_;
-
-  std::vector<Replica> replicas_;
-  std::map<int, RunningTask> running_;          // task_id -> runtime state
-  std::map<int, TaskRecord> task_records_;      // task_id -> record
   size_t tasks_remaining_ = 0;
-  TimeMs last_completion_ms_ = 0.0;
   TimeMs first_arrival_ms_ = 0.0;
-
   std::vector<UtilSample> util_series_;
   std::vector<DeviceSeriesSample> device_series_;
   TimeMs last_util_sample_ms_ = 0.0;
-
-  // Fault/recovery accounting.
-  size_t trainings_displaced_ = 0;
-  size_t trainings_replaced_ = 0;
-  double work_lost_ms_ = 0.0;
-  double failed_requests_ = 0.0;
-  double rerouted_requests_ = 0.0;
-  double replacement_time_sum_ms_ = 0.0;
-  std::map<int, TimeMs> displaced_at_;  // task_id -> displacement time
-
-  // Control-plane fault state (inert without a ctrl fault plan).
-  bool ctrl_enabled_ = false;
-  bool scheduler_up_ = true;
-  TimeMs scheduler_crashed_at_ = 0.0;
-  size_t scheduler_recoveries_ = 0;
-  double recovery_ms_sum_ = 0.0;
-  size_t configs_published_ = 0;
-  size_t configs_applied_ = 0;
-  size_t stale_scan_entries_ = 0;
-  uint64_t ckpt_epoch_ = 0;
-  std::vector<KvStore::WatchId> config_watches_;   // per device; 0 = none
-  std::vector<uint64_t> config_applied_rev_;       // monotonic delivery guard
-  // Highest publication sequence number applied per device: catch-up reads
-  // re-deliver the same publication, and this keeps configs_applied_ a true
-  // count of publications that reached the device (never double-counted).
-  std::vector<uint64_t> config_applied_seq_;
-  // Retriers for the two retried control flows. Constructed in
-  // StartControlPlane so fault-free runs never touch them.
-  std::unique_ptr<Retrier> recovery_retrier_;
-  std::unique_ptr<Retrier> watch_retrier_;
 };
 
 }  // namespace mudi

@@ -121,6 +121,10 @@ struct ControlMetrics {
 
 struct ExperimentResult {
   std::string policy_name;
+  // A run without a horizon that hit ExperimentOptions::max_sim_ms with
+  // tasks left, and the trace's tasks that never completed (either way).
+  bool stopped_by_backstop = false;
+  size_t unfinished_tasks = 0;
   std::map<std::string, ServiceMetrics> per_service;
 
   std::vector<TaskRecord> tasks;

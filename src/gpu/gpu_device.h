@@ -47,6 +47,11 @@ struct InferenceInstance {
   double mem_required_mb = 0.0;
 };
 
+// The service spec of a device's inference instance.
+inline const InferenceServiceSpec& ServiceOf(const InferenceInstance& inference) {
+  return ModelZoo::InferenceServices()[inference.service_index];
+}
+
 // Memory footprint helpers (weights + optimizer state / activations + a
 // fixed CUDA-context overhead).
 double InferenceMemoryMb(const InferenceServiceSpec& spec, int batch_size);

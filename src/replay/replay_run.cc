@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <string>
 #include <utility>
 
 #include "src/common/check.h"
@@ -70,6 +71,48 @@ bool SameActions(const std::vector<TraceAction>& a, const std::vector<TraceActio
   return true;
 }
 
+// A trace can parse cleanly and still name services, training types or
+// devices this build does not have. Reject those before anything indexes a
+// table with them.
+Status CheckIndices(const DecisionTrace& trace) {
+  const size_t services = ModelZoo::InferenceServices().size();
+  const size_t types = ModelZoo::TrainingTasks().size();
+  const auto num_devices = static_cast<int32_t>(trace.device_table.size());
+  for (const DeviceTableEntry& entry : trace.device_table) {
+    if (entry.service_index >= services) {
+      return InvalidArgumentError("trace device table names unknown service " +
+                                  std::to_string(entry.service_index));
+    }
+  }
+  for (const TraceDecision& d : trace.decisions) {
+    auto hook = static_cast<HookKind>(d.hook);
+    bool typed = hook == HookKind::kSelectDevice || hook == HookKind::kOnTrainingPlaced;
+    bool unknown_type = typed && (d.type_index < 0 || static_cast<size_t>(d.type_index) >= types);
+    for (const auto& [task_id, type_index] : d.displaced) {
+      unknown_type |= type_index >= types;
+    }
+    bool per_device = hook >= HookKind::kOnTrainingPlaced && hook <= HookKind::kOnDeviceRecovered;
+    bool unknown_device = per_device && (d.device_id < 0 || d.device_id >= num_devices);
+    bool unknown_service = false;
+    for (const SnapshotDevice& s : d.snapshot) {
+      unknown_device |= s.device_id < 0 || s.device_id >= num_devices;
+      unknown_service |= s.has_inference != 0 && s.service_index >= services;
+      for (const SnapshotTraining& t : s.trainings) {
+        unknown_type |= t.type_index >= types;
+      }
+    }
+    const char* unknown = unknown_type      ? "training type"
+                          : unknown_device  ? "device"
+                          : unknown_service ? "service"
+                                            : nullptr;
+    if (unknown != nullptr) {
+      return InvalidArgumentError("trace decision " + std::to_string(d.seq) +
+                                  " names an unknown " + unknown);
+    }
+  }
+  return Status::Ok();
+}
+
 // Runs recorded decision `d`'s hook on `policy`. Returns the device a
 // SelectDevice decision chose (-1: none), or kNotSelectDevice for any other
 // hook.
@@ -81,7 +124,6 @@ StatusOr<int> DispatchDecision(MultiplexPolicy& policy, ReplayEnv& env, const Tr
       policy.Initialize(env);
       break;
     case HookKind::kSelectDevice: {
-      MUDI_CHECK_GE(d.type_index, 0);
       TrainingTaskInfo info;
       info.task_id = d.task_id;
       info.type_index = static_cast<size_t>(d.type_index);
@@ -93,7 +135,6 @@ StatusOr<int> DispatchDecision(MultiplexPolicy& policy, ReplayEnv& env, const Tr
       return choice;
     }
     case HookKind::kOnTrainingPlaced: {
-      MUDI_CHECK_GE(d.type_index, 0);
       TrainingTaskInfo info;
       info.task_id = d.task_id;
       info.type_index = static_cast<size_t>(d.type_index);
@@ -231,10 +272,6 @@ GpuDevice& ReplayEnv::mutable_device(int device_id) {
   return devices_[static_cast<size_t>(device_id)];
 }
 
-const InferenceServiceSpec& ReplayEnv::ServiceOnDevice(int device_id) const {
-  return ModelZoo::InferenceServices()[device(device_id).inference().service_index];
-}
-
 double ReplayEnv::MeasuredQps(int device_id) {
   double qps = latest_qps_[static_cast<size_t>(device_id)];
   if (whatif_recorder_ != nullptr && whatif_recorder_->decision_open()) {
@@ -318,11 +355,6 @@ void ReplayEnv::SetTrainingPaused(int device_id, int task_id, bool paused) {
   instance->paused = paused;
 }
 
-bool ReplayEnv::CanFitTraining(int device_id, const TrainingTaskSpec& spec) const {
-  const GpuDevice& dev = device(device_id);
-  return dev.MemoryRequiredMb() + TrainingMemoryMb(spec) <= dev.memory_mb();
-}
-
 StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
                                  const WhatIfOptions& options) {
   const DecisionTrace& trace = source.trace();
@@ -338,6 +370,7 @@ StatusOr<WhatIfResult> RunWhatIf(ReplaySource& source, MultiplexPolicy& policy,
       static_cast<HookKind>(trace.decisions.front().hook) != HookKind::kInitialize) {
     return InvalidArgumentError("trace decision stream does not start with Initialize");
   }
+  MUDI_RETURN_IF_ERROR(CheckIndices(trace));
 
   ReplayEnv env(source, options.recorder);
   if (options.recorder != nullptr) {

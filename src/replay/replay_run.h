@@ -75,7 +75,6 @@ class ReplayEnv : public SchedulingEnv {
   TimeMs Now() const override { return now_ms_; }
   std::vector<GpuDevice>& devices() override { return devices_; }
   const GpuDevice& device(int device_id) const override;
-  const InferenceServiceSpec& ServiceOnDevice(int device_id) const override;
   double MeasuredQps(int device_id) override;
   double MeasuredP99(int device_id) override;
   double ProbeInferenceLatencyMs(int device_id, int batch, double gpu_fraction) override;
@@ -84,7 +83,6 @@ class ReplayEnv : public SchedulingEnv {
   void ApplyInferenceConfig(int device_id, int batch, double gpu_fraction) override;
   void ApplyTrainingFraction(int device_id, int task_id, double fraction) override;
   void SetTrainingPaused(int device_id, int task_id, bool paused) override;
-  bool CanFitTraining(int device_id, const TrainingTaskSpec& spec) const override;
   const PerfOracle& oracle() const override { return fallback_oracle_; }
   DecisionRecorder* recorder() override { return whatif_recorder_; }
   ReplaySource* replay() override { return &source_; }

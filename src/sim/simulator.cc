@@ -34,21 +34,22 @@ void Simulator::ExportPerfCounters(perf::PerfCollector* collector) const {
 
 // MUDI_HOT_PATH  SetState/Push/Step run once (or more) per simulated event;
 // steady state is allocation-free (perf_test's alloc-hook proof). The two
-// NOLINTed growth sites below are one-way high-water-mark expansions.
+// NOLINTed growth sites below only ever grow, geometrically.
 void Simulator::SetState(EventId id, EventState s) {
   if (id >= state_.size()) {
-    // The state vector grows to the peak event-id once (ids are reused via
-    // the free list), then never again.
-    // NOLINTNEXTLINE(mudi-hot-path-alloc): one-way high-water-mark growth
+    // Ids are never reused, so the state vector gains one byte per id
+    // issued; resize grows the capacity geometrically, which keeps the
+    // reallocations logarithmic in the run's event count.
+    // NOLINTNEXTLINE(mudi-hot-path-alloc): amortized geometric growth, never shrinks
     state_.resize(static_cast<size_t>(id) + 1, static_cast<uint8_t>(EventState::kDead));
   }
   state_[id] = static_cast<uint8_t>(s);
 }
 
-Simulator::EventId Simulator::Push(TimeMs t, TimeMs period, Callback cb, EventId reuse_id) {
+Simulator::EventId Simulator::Push(TimeMs t, TimeMs period, Callback cb) {
   MUDI_CHECK_GE(t, now_);
   MUDI_CHECK(cb);
-  EventId id = reuse_id != kInvalidEventId ? reuse_id : next_id_++;
+  EventId id = next_id_++;
   EventArena::Slot slot = arena_.Allocate();
   EventArena::Event& ev = arena_[slot];
   ev.time = t;

@@ -113,7 +113,7 @@ class Simulator {
   // (ids are monotonic) — ~1 MB per million events, reset with the Simulator.
   enum class EventState : uint8_t { kDead = 0, kLive = 1, kCancelled = 2 };
 
-  EventId Push(TimeMs t, TimeMs period, Callback cb, EventId reuse_id = kInvalidEventId);
+  EventId Push(TimeMs t, TimeMs period, Callback cb);
   // Pops cancelled entries off the top; returns false when queue is empty.
   bool SkipCancelled();
   EventState State(EventId id) const {

@@ -54,11 +54,14 @@ class Telemetry {
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  // Process-wide instance for tools and ad-hoc use; experiments own their
-  // own instance so runs in one process stay independent.
-  static Telemetry& Global();
-
   bool enabled() const { return options_.enabled; }
+  // Adds `delta` to counter `name`; a no-op while telemetry is disabled (the
+  // name is only turned into a std::string when it is needed).
+  void Count(const char* name, double delta = 1.0) {
+    if (enabled()) {
+      metrics_.GetCounter(name).Increment(delta);
+    }
+  }
   bool tracing_enabled() const { return tracing_enabled_; }
   static constexpr bool CompiledWithTracing() { return MUDI_TRACING_ENABLED != 0; }
 

@@ -4,6 +4,7 @@
 
 #include "src/exp/cluster_experiment.h"
 #include "src/exp/presets.h"
+#include "src/exp/serving_replica.h"
 
 namespace mudi {
 namespace {
@@ -158,6 +159,137 @@ TEST(ServingPathTest, CanFitTrainingTracksInferenceFootprint) {
   experiment.devices()[0].mutable_inference().mem_required_mb =
       experiment.device(0).memory_mb() - 1000.0;
   EXPECT_FALSE(experiment.CanFitTraining(0, big));
+}
+
+TEST(ServingPathTest, SmallPresetGsliceWedgeReportsBackstop) {
+  // bench_throughput's small preset: GSLICE tunes every replica to batch 512,
+  // after which the FCFS head fits on no device and the run only ends at the
+  // liveness backstop. The result must say so instead of looking finished.
+  ExperimentOptions options;
+  options.num_nodes = 2;
+  options.gpus_per_node = 2;
+  options.num_services = 4;
+  options.trace.num_tasks = 32;
+  options.trace.mean_interarrival_ms = 2.0 * kMsPerSecond;
+  options.trace.duration_compression = 8000.0;
+  options.trace.seed = 6;
+  options.max_sim_ms = 300.0 * kMsPerSecond;
+  PerfOracle oracle(options.oracle_seed);
+  auto gslice = MakePolicy("GSLICE", oracle);
+  ExperimentResult wedged = ClusterExperiment(options, gslice.get()).Run();
+  EXPECT_TRUE(wedged.stopped_by_backstop);
+  EXPECT_GT(wedged.unfinished_tasks, 0u);
+  EXPECT_EQ(wedged.unfinished_tasks, 32u - wedged.CompletedTasks());
+
+  // The same preset under Mudi finishes: neither field is set.
+  auto mudi = MakePolicy("Mudi", oracle);
+  ExperimentResult finished = ClusterExperiment(options, mudi.get()).Run();
+  EXPECT_FALSE(finished.stopped_by_backstop);
+  EXPECT_EQ(finished.unfinished_tasks, 0u);
+  EXPECT_EQ(finished.CompletedTasks(), 32u);
+}
+
+// ServingReplica on its own: a simulator, an Rng, an oracle and a device are
+// all it needs; no ClusterExperiment exists in these tests.
+struct ReplicaFixture {
+  explicit ReplicaFixture(int batch, size_t num_devices = 1)
+      : ctx(sim, rng, oracle, telemetry, /*arrival_tick_ms=*/10.0), replicas(num_devices) {
+    for (size_t d = 0; d < num_devices; ++d) {
+      devices.emplace_back(static_cast<int>(d));
+      InferenceInstance inf;
+      inf.service_index = 0;
+      inf.batch_size = batch;
+      inf.gpu_fraction = 0.5;
+      inf.mem_required_mb = InferenceMemoryMb(service(), batch);
+      devices.back().PlaceInference(inf);
+    }
+  }
+  static const InferenceServiceSpec& service() { return ModelZoo::InferenceServices()[0]; }
+
+  Simulator sim;
+  Rng rng{1};
+  PerfOracle oracle{42};
+  Telemetry telemetry;  // disabled
+  ServingContext ctx;
+  std::vector<GpuDevice> devices;
+  std::vector<ServingReplica> replicas;
+};
+
+TEST(ServingReplicaTest, ShedsOldestCohortsAtTheQueueCapWithPenalty) {
+  ReplicaFixture f(/*batch=*/4);
+  ServingReplica& r = f.replicas[0];
+  r.qps = std::make_shared<ConstantQps>(6000.0);  // ~60 requests per 10 ms tick
+  r.busy = true;  // a batch in flight: nothing drains, so the queue only grows
+  const double cap = ServingReplica::kQueueCapBatches * 4.0;
+  Rng mirror(1);  // the same stream: one Poisson draw per tick
+  double arrived = 0.0;
+  for (int tick = 0; tick < 10; ++tick) {
+    f.sim.RunUntil(10.0 * tick);
+    r.ArrivalTick(f.ctx, f.devices[0]);
+    arrived += static_cast<double>(mirror.Poisson(6000.0 * 10.0 / kMsPerSecond));
+    EXPECT_LE(r.queued, cap);
+  }
+  double shed = 0.0;
+  for (const auto& [latency, weight] : r.window_latencies) {
+    EXPECT_DOUBLE_EQ(latency, 10.0 * ReplicaFixture::service().slo_ms);
+    shed += weight;
+  }
+  EXPECT_GT(shed, 0.0);
+  EXPECT_DOUBLE_EQ(shed + r.queued, arrived);
+  EXPECT_GT(r.queue.front().arrival_ms, 0.0) << "the oldest cohorts go first";
+}
+
+TEST(ServingReplicaTest, FormationTimeoutStartsAPartialBatch) {
+  ReplicaFixture f(/*batch=*/512);
+  ServingReplica& r = f.replicas[0];
+  r.qps = std::make_shared<ConstantQps>(2000.0);  // ~20 requests, far below 512
+  r.ArrivalTick(f.ctx, f.devices[0]);
+  const double queued = r.queued;
+  ASSERT_GT(queued, 0.0);
+  const TimeMs timeout = 0.25 * ReplicaFixture::service().slo_ms;
+  f.sim.RunUntil(timeout - 1.0);
+  EXPECT_FALSE(r.busy) << "no batch before the formation timeout";
+  EXPECT_NE(r.timeout_event, Simulator::kInvalidEventId);
+  f.sim.RunUntil(timeout);
+  EXPECT_TRUE(r.busy) << "the timeout starts whatever is queued";
+  EXPECT_DOUBLE_EQ(r.queued, 0.0);
+  f.sim.RunUntilIdle();  // the batch finishes; no periodic event is armed
+  EXPECT_DOUBLE_EQ(r.served, queued);
+  EXPECT_GE(r.latency_weighted_sum / r.served, timeout);
+}
+
+TEST(ServingReplicaTest, FailoverTaintsTheSurvivorsWindow) {
+  ReplicaFixture f(/*batch=*/4, /*num_devices=*/2);
+  for (ServingReplica& r : f.replicas) {
+    r.qps = std::make_shared<ConstantQps>(2000.0);
+  }
+  f.replicas[0].busy = true;  // device 0 holds its cohort in the queue
+  f.replicas[0].ArrivalTick(f.ctx, f.devices[0]);
+  const double queued = f.replicas[0].queued;
+  ASSERT_GT(queued, 0.0);
+
+  // Device 0 dies a second later: its queue fails over to device 1 with the
+  // original arrival time, so the detour blows the SLO there. (A silent
+  // profile keeps the failover arrivals out of the count.)
+  f.replicas[0].qps = std::make_shared<ConstantQps>(0.0);
+  f.sim.RunUntil(1.0 * kMsPerSecond);
+  f.devices[0].SetHealthy(false);
+  FailReplica(f.ctx, f.replicas, f.devices, /*device_id=*/0, f.sim.Now());
+  EXPECT_DOUBLE_EQ(f.ctx.rerouted_requests, queued);
+  ServingReplica& survivor = f.replicas[1];
+  EXPECT_TRUE(survivor.window_failure_tainted);
+  f.sim.RunUntil(1.5 * kMsPerSecond);  // the re-routed batch completes
+  EXPECT_DOUBLE_EQ(survivor.served, queued);
+  survivor.CloseSloWindow(f.ctx, f.devices[1]);
+  EXPECT_EQ(survivor.windows_total, 1u);
+  EXPECT_EQ(survivor.windows_violated, 1u);
+  EXPECT_EQ(survivor.windows_violated_failure, 1u);
+
+  // An untainted violation is load-attributed.
+  survivor.window_latencies.emplace_back(10.0 * ReplicaFixture::service().slo_ms, 1.0);
+  survivor.CloseSloWindow(f.ctx, f.devices[1]);
+  EXPECT_EQ(survivor.windows_violated, 2u);
+  EXPECT_EQ(survivor.windows_violated_failure, 1u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -367,6 +368,74 @@ TEST(TraceCorruptionTest, RejectsOversizedLengthsAndCounts) {
     ASSERT_NE(pos, std::string::npos) << from;
     corrupt.replace(pos, from.size(), to);
     EXPECT_FALSE(ParsesAsDecisionTrace(corrupt)) << to;
+  }
+}
+
+// A trace that parses cleanly but names a service, training type or device
+// this build does not have: RunWhatIf must refuse it with InvalidArgument
+// before anything indexes a table with the bad value (under ASan this was a
+// SEGV in InferenceMemoryMb for the service case).
+TEST(TraceCorruptionTest, WhatIfRejectsOutOfRangeIndices) {
+  auto run_whatif = [](const std::function<void(std::vector<DeviceTableEntry>&,
+                                                TraceDecision&)>& corrupt) {
+    std::vector<DeviceTableEntry> table = {{0, 0, 40960.0, 1.0}, {1, 1, 40960.0, 1.0}};
+    TraceDecision init;
+    init.seq = 1;
+    init.hook = static_cast<uint8_t>(HookKind::kInitialize);
+    TraceDecision select;
+    select.seq = 2;
+    select.hook = static_cast<uint8_t>(HookKind::kSelectDevice);
+    select.task_id = 0;
+    select.type_index = 0;
+    SnapshotDevice dev;
+    dev.device_id = 1;
+    dev.healthy = 1;
+    dev.has_inference = 1;
+    dev.service_index = 1;
+    dev.inf_batch = 8;
+    dev.inf_fraction = 0.5;
+    select.snapshot = {dev};
+    corrupt(table, select);
+    TraceWriter writer(SampleHeader());
+    writer.AppendDeviceTable(table);
+    writer.AppendDecision(init);
+    writer.AppendDecision(select);
+    writer.Finish();
+    StatusOr<DecisionTrace> trace = ParseDecisionTrace(writer.TakeBuffer(), "mem");
+    EXPECT_TRUE(trace.ok()) << trace.status().message();
+    ReplaySource source(std::move(*trace));
+    PerfOracle profiling_oracle(source.trace().header.oracle_seed);
+    auto policy = MakePolicy("Random", profiling_oracle);
+    return RunWhatIf(source, *policy).status();
+  };
+  // The untouched trace replays, so each failure below is the bad index.
+  EXPECT_TRUE(run_whatif([](auto&, auto&) {}).ok());
+  const std::pair<const char*, std::function<void(std::vector<DeviceTableEntry>&,
+                                                  TraceDecision&)>>
+      cases[] = {
+          {"table service", [](auto& table, auto&) { table[1].service_index = 100000; }},
+          {"snapshot service", [](auto&, auto& d) { d.snapshot[0].service_index = 100000; }},
+          {"snapshot device", [](auto&, auto& d) { d.snapshot[0].device_id = 7; }},
+          {"negative snapshot device", [](auto&, auto& d) { d.snapshot[0].device_id = -3; }},
+          {"decision type", [](auto&, auto& d) { d.type_index = 100000; }},
+          {"negative decision type", [](auto&, auto& d) { d.type_index = -1; }},
+          {"displaced type", [](auto&, auto& d) { d.displaced = {{4, 100000u}}; }},
+          {"snapshot training type",
+           [](auto&, auto& d) {
+             SnapshotTraining t;
+             t.task_id = 3;
+             t.type_index = 100000;
+             d.snapshot[0].trainings = {t};
+           }},
+          {"hook device",
+           [](auto&, auto& d) {
+             d.hook = static_cast<uint8_t>(HookKind::kOnQpsChange);
+             d.device_id = 2;
+           }},
+      };
+  for (const auto& [what, corrupt] : cases) {
+    Status status = run_whatif(corrupt);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << what << ": " << status.ToString();
   }
 }
 

@@ -508,6 +508,8 @@ int main(int argc, char** argv) {
   Table table({"metric", "value"});
   table.AddRow({"completed tasks", std::to_string(result.CompletedTasks()) + "/" +
                                        std::to_string(result.tasks.size())});
+  table.AddRow({"unfinished tasks", std::to_string(result.unfinished_tasks)});
+  table.AddRow({"stopped by backstop", result.stopped_by_backstop ? "yes" : "no"});
   table.AddRow({"SLO violation rate", Table::Pct(result.OverallSloViolationRate(), 2)});
   table.AddRow({"mean CT (s)", Table::Num(result.MeanCtMs() / kMsPerSecond, 1)});
   table.AddRow({"P95 CT (s)", Table::Num(result.P95CtMs() / kMsPerSecond, 1)});
