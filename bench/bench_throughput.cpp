@@ -410,6 +410,16 @@ int Main(int argc, char** argv) {
                    record.events_per_sec, record.sim_seconds_per_wall_second,
                    record.decision.p95, static_cast<unsigned long long>(record.decision.count),
                    record.wall_ms / kMsPerSecond);
+      if (const perf::RegionSummary* fit = record.report.FindRegion("mudi.fit")) {
+        std::fprintf(stderr,
+                     "[bench_throughput]   mudi.fit %.1f ms, %llu fits computed, %llu CV folds "
+                     "skipped\n",
+                     fit->total_ms,
+                     static_cast<unsigned long long>(
+                         record.report.CounterValue("mudi.fit_shards_computed")),
+                     static_cast<unsigned long long>(
+                         record.report.CounterValue("mudi.cv_folds_skipped")));
+      }
       records.push_back(std::move(record));
     }
   }

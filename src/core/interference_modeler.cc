@@ -82,6 +82,7 @@ void InterferenceModeler::Fit(size_t folds) {
   std::vector<SharedSelectionResult> results = SelectBestModelsCached(zoo, tasks);
   last_fit_cached_ = 0;
   last_fit_computed_ = 0;
+  last_fit_folds_skipped_ = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
     slots[i].first->model[slots[i].second] = results[i].model;
     slots[i].first->model_name[slots[i].second] = results[i].model_name;
@@ -90,6 +91,7 @@ void InterferenceModeler::Fit(size_t folds) {
     } else {
       ++last_fit_computed_;
     }
+    last_fit_folds_skipped_ += results[i].cv_folds_skipped;
   }
   fitted_ = true;
 }

@@ -43,9 +43,12 @@ class InterferenceModeler {
   void Fit(size_t folds = 5);
 
   // Shard accounting for the most recent Fit(): how many (service, param)
-  // selections were served from the cache vs computed fresh. Observational.
+  // selections were served from the cache vs computed fresh, and how many CV
+  // folds the fresh selections' early exit skipped. Observational, and a
+  // pure function of the data, so equal for every MUDI_FIT_THREADS.
   size_t last_fit_cached() const { return last_fit_cached_; }
   size_t last_fit_computed() const { return last_fit_computed_; }
+  size_t last_fit_folds_skipped() const { return last_fit_folds_skipped_; }
 
   // Predicts the piece-wise linear latency curve for `service_index` when
   // co-located with training task(s) of cumulative architecture `arch` at
@@ -76,6 +79,7 @@ class InterferenceModeler {
   bool fitted_ = false;
   size_t last_fit_cached_ = 0;
   size_t last_fit_computed_ = 0;
+  size_t last_fit_folds_skipped_ = 0;
 };
 
 }  // namespace mudi

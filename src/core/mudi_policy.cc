@@ -98,9 +98,11 @@ void MudiPolicy::Initialize(SchedulingEnv& env) {
     modeler_.Fit();
   }
   if (env.perf() != nullptr && env.perf()->enabled()) {
-    // Snapshot-style, observe-only: how much of the fit the FitCache absorbed.
+    // Snapshot-style, observe-only: how much of the fit the FitCache absorbed
+    // and how many CV folds the early exit skipped.
     env.perf()->SetCounter("mudi.fit_shards_cached", modeler_.last_fit_cached());
     env.perf()->SetCounter("mudi.fit_shards_computed", modeler_.last_fit_computed());
+    env.perf()->SetCounter("mudi.cv_folds_skipped", modeler_.last_fit_folds_skipped());
   }
   if (replay::DecisionSink* recorder = env.recorder()) {
     // Dump the *offline* curve store into the trace so a replayed run can

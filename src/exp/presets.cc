@@ -74,12 +74,6 @@ ExperimentOptions ChaosClusterOptions(size_t num_tasks, uint64_t seed) {
   return options;
 }
 
-ExperimentOptions CtrlChaosClusterOptions(size_t num_tasks, uint64_t seed) {
-  ExperimentOptions options = PhysicalClusterOptions(num_tasks, seed);
-  options.ctrl_fault_plan = StandardControlChaosPlan();
-  return options;
-}
-
 std::unique_ptr<MultiplexPolicy> MakePolicy(const std::string& name,
                                             const PerfOracle& profiling_oracle) {
   if (name == "Mudi") {

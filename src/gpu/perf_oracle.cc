@@ -117,20 +117,6 @@ double PerfOracle::SaturationFraction(const InferenceServiceSpec& service, int b
   return std::clamp(g, 0.10, 1.0);
 }
 
-double PerfOracle::CpuContentionFactor(const InferenceServiceSpec& service, double sensitivity,
-                                       const std::vector<ColocatedTraining>& training,
-                                       size_t other_inference_count) const {
-  (void)service;
-  double demand_inference =
-      kInferenceNeighborCpuDemand * static_cast<double>(other_inference_count);
-  double demand_training = 0.0;
-  for (const auto& t : training) {
-    MUDI_CHECK(t.spec != nullptr);
-    demand_training += t.spec->cpu_load;
-  }
-  return 1.0 + sensitivity * demand_inference + sensitivity * 0.3 * demand_training;
-}
-
 InferencePhaseLatency PerfOracle::InferenceBatchLatency(
     const InferenceServiceSpec& service, int batch, double gpu_fraction,
     const std::vector<ColocatedTraining>& training, size_t other_inference_count) const {

@@ -120,10 +120,6 @@ class PerfOracle {
   void SetTelemetry(Telemetry* telemetry);
 
  private:
-  double CpuContentionFactor(const InferenceServiceSpec& service, double sensitivity,
-                             const std::vector<ColocatedTraining>& training,
-                             size_t other_inference_count) const;
-
   // Per-service random projection weights over the layer-census features.
   std::vector<std::vector<double>> affinity_weights_;
   std::vector<double> affinity_bias_;

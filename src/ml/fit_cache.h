@@ -3,9 +3,10 @@
 // internally seeded), so a fit keyed by a fingerprint of exactly those inputs
 // can be reused across repeated `policy.initialize` calls, re-tunes, and
 // runs that profile identical curves — which is what makes warm Mudi runs
-// skip the model-selection bill entirely. Cold, that bill is about 2.1 s of
-// CPU for the smoke preset's Initialize in an -O2 build (0.53 s of wall time
-// with four fit threads on a 4-vCPU x86-64 VM); see DESIGN.md §12.3, §12.5.
+// skip the model-selection bill entirely. Cold, that bill is about 0.9 s of
+// CPU for the smoke preset's Initialize in an -O2 build (0.25 s of wall time
+// with four fit threads on a 4-vCPU x86-64 VM), after the early-exit CV and
+// the -O2 vectoriser flag; see DESIGN.md §12.3, §12.5.
 #ifndef SRC_ML_FIT_CACHE_H_
 #define SRC_ML_FIT_CACHE_H_
 

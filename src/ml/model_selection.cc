@@ -17,15 +17,26 @@ namespace mudi {
 
 double KFoldRelativeError(const RegressorFactory& factory,
                           const std::vector<std::vector<double>>& x,
-                          const std::vector<double>& y, size_t folds) {
+                          const std::vector<double>& y, size_t folds, double bound,
+                          size_t* folds_skipped) {
   MUDI_CHECK_EQ(x.size(), y.size());
   MUDI_CHECK_GE(x.size(), 2u);
   folds = std::min(folds, x.size());
   MUDI_CHECK_GE(folds, 2u);
 
+  // With 2 <= folds <= n every fold has test and training samples, so the
+  // full sum has exactly n terms. The terms are non-negative and rounding is
+  // monotone, so every prefix of the sum in this fold order, over n, is at
+  // most the final error: a prefix that reaches the bound proves the final
+  // error does too. A NaN prefix never compares >= and so never exits.
+  const bool bounded = bound < std::numeric_limits<double>::infinity();
+  const double n = static_cast<double>(x.size());
   double total_err = 0.0;
-  size_t total_count = 0;
-  for (size_t fold = 0; fold < folds; ++fold) {
+  size_t fold = 0;
+  for (; fold < folds; ++fold) {
+    if (bounded && total_err / n >= bound) {
+      break;
+    }
     std::vector<std::vector<double>> train_x, test_x;
     std::vector<double> train_y, test_y;
     for (size_t i = 0; i < x.size(); ++i) {
@@ -37,20 +48,18 @@ double KFoldRelativeError(const RegressorFactory& factory,
         train_y.push_back(y[i]);
       }
     }
-    if (train_x.empty() || test_x.empty()) {
-      continue;
-    }
     auto model = factory();
     model->Fit(train_x, train_y);
     for (size_t i = 0; i < test_x.size(); ++i) {
       double pred = model->Predict(test_x[i]);
       double denom = std::max(std::abs(test_y[i]), 1e-6);
       total_err += std::abs(pred - test_y[i]) / denom;
-      ++total_count;
     }
   }
-  MUDI_CHECK_GT(total_count, 0u);
-  return total_err / static_cast<double>(total_count);
+  if (folds_skipped != nullptr) {
+    *folds_skipped = folds - fold;
+  }
+  return total_err / n;
 }
 
 std::vector<RegressorFactory> DefaultRegressorZoo() {
@@ -61,7 +70,7 @@ std::vector<RegressorFactory> DefaultRegressorZoo() {
       [] { return std::unique_ptr<Regressor>(std::make_unique<LinearRegressor>()); },
       [] {
         MlpOptions options;
-        options.epochs = 300;  // selection-time budget; the winner refits fully
+        options.epochs = 300;  // CV folds and the winner's refit alike
         return std::unique_ptr<Regressor>(std::make_unique<MlpRegressor>(options));
       },
   };
@@ -75,7 +84,11 @@ ModelSelectionResult SelectBestModel(const std::vector<RegressorFactory>& factor
   double best_err = std::numeric_limits<double>::infinity();
   const RegressorFactory* best_factory = nullptr;
   for (const auto& factory : factories) {
-    double err = KFoldRelativeError(factory, x, y, folds);
+    // Bounded by the earlier factories' best: a partial error that reaches
+    // it loses the strict `<` whatever the remaining folds would add.
+    size_t skipped = 0;
+    double err = KFoldRelativeError(factory, x, y, folds, best_err, &skipped);
+    result.cv_folds_skipped += skipped;
     if (err < best_err) {
       best_err = err;
       best_factory = &factory;
@@ -110,56 +123,27 @@ std::vector<SharedSelectionResult> SelectBestModelsCached(
       pending.push_back(i);
     }
   }
-  if (pending.empty()) {
-    return results;
-  }
 
-  // Phase A — cross-validate every (pending task, factory) shard. Shard
-  // order is fixed (task-major), each shard is pure and internally seeded,
-  // and each writes only errors[shard], so the matrix is thread-count
-  // independent.
-  const size_t num_factories = factories.size();
-  std::vector<double> errors(pending.size() * num_factories, 0.0);
-  FitPool::ParallelFor(errors.size(), [&](size_t shard) {
-    const FitTask& task = tasks[pending[shard / num_factories]];
-    errors[shard] =
-        KFoldRelativeError(factories[shard % num_factories], *task.x, *task.y, task.folds);
-  });
-
-  // Phase B — serial winner pick, factory order, strict `<`: byte-for-byte
-  // the SelectBestModel rule, applied to the deterministic error matrix.
-  std::vector<size_t> winner(pending.size(), 0);
-  for (size_t p = 0; p < pending.size(); ++p) {
-    double best_err = std::numeric_limits<double>::infinity();
-    for (size_t f = 0; f < num_factories; ++f) {
-      double err = errors[p * num_factories + f];
-      if (err < best_err) {
-        best_err = err;
-        winner[p] = f;
-      }
-    }
-    results[pending[p]].cv_error = best_err;
-  }
-
-  // Phase C — refit each winner on all data, one shard per pending task.
-  std::vector<std::shared_ptr<const Regressor>> refit(pending.size());
+  // One shard per pending task. SelectBestModel is a pure, internally seeded
+  // function of the task's data, and each shard writes only its own slot.
+  std::vector<ModelSelectionResult> fresh(pending.size());
   FitPool::ParallelFor(pending.size(), [&](size_t p) {
     const FitTask& task = tasks[pending[p]];
-    std::unique_ptr<Regressor> model = factories[winner[p]]();
-    model->Fit(*task.x, *task.y);
-    refit[p] = std::shared_ptr<const Regressor>(std::move(model));
+    fresh[p] = SelectBestModel(factories, *task.x, *task.y, task.folds);
   });
 
-  // Fixed-order reduction + cache fill on the calling thread.
+  // Fixed-order result and cache fill on the calling thread.
   for (size_t p = 0; p < pending.size(); ++p) {
-    size_t i = pending[p];
-    results[i].model = refit[p];
-    results[i].model_name = refit[p]->name();
+    SharedSelectionResult& out = results[pending[p]];
+    out.model = std::shared_ptr<const Regressor>(std::move(fresh[p].model));
+    out.model_name = std::move(fresh[p].model_name);
+    out.cv_error = fresh[p].cv_error;
+    out.cv_folds_skipped = fresh[p].cv_folds_skipped;
     auto cached = std::make_shared<CachedFit>();
-    cached->model = results[i].model;
-    cached->model_name = results[i].model_name;
-    cached->cv_error = results[i].cv_error;
-    FitCache::Global().Insert(keys[i], std::move(cached));
+    cached->model = out.model;
+    cached->model_name = out.model_name;
+    cached->cv_error = out.cv_error;
+    FitCache::Global().Insert(keys[pending[p]], std::move(cached));
   }
   return results;
 }

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 
 #include "src/common/env.h"
@@ -306,6 +307,39 @@ TEST(FitThreadDeterminismTest, MudiBitIdenticalAcrossFitThreadCounts) {
 
   ExpectIdenticalResults(results[0], results[1]);
   ExpectIdenticalResults(results[0], results[2]);
+}
+
+// The early-exit cross-validation's work counter is a function of the data
+// alone: each selection's skipped folds are decided inside its own shard, so
+// the total Mudi reports may not depend on how shards met the workers. It
+// must also be non-zero on this workload, or the early exit never fired.
+TEST(FitThreadDeterminismTest, CvFoldsSkippedEqualAcrossFitThreadCounts) {
+  ExperimentOptions options = SmallOptions(/*seed=*/41);
+  std::optional<std::string> saved = GetEnv("MUDI_FIT_THREADS");
+
+  std::map<std::string, uint64_t> counters[2];
+  const char* thread_counts[2] = {"1", "4"};
+  for (int i = 0; i < 2; ++i) {
+    setenv("MUDI_FIT_THREADS", thread_counts[i], /*overwrite=*/1);
+    FitCache::Global().Clear();
+    perf::PerfCollector collector;
+    options.perf = &collector;
+    RunOnce("Mudi", options);
+    counters[i] = collector.counters();
+  }
+
+  if (saved.has_value()) {
+    setenv("MUDI_FIT_THREADS", saved->c_str(), /*overwrite=*/1);
+  } else {
+    unsetenv("MUDI_FIT_THREADS");
+  }
+
+  for (const char* name : {"mudi.cv_folds_skipped", "mudi.fit_shards_computed"}) {
+    ASSERT_EQ(counters[0].count(name), 1u) << name;
+    ASSERT_EQ(counters[1].count(name), 1u) << name;
+    EXPECT_EQ(counters[0][name], counters[1][name]) << name;
+    EXPECT_GT(counters[0][name], 0u) << name;
+  }
 }
 
 // The fit cache is a pure memoization: replaying cached models must yield the

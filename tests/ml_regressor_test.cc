@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 
+#include "src/common/check.h"
 #include "src/common/float_eq.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -703,7 +704,7 @@ TEST(FitKernelSelectionTest, ModelerShapedBatchMatchesReferenceZoo) {
     EXPECT_EQ(std::bit_cast<uint64_t>(got[t].cv_error), std::bit_cast<uint64_t>(want[t].cv_error));
     ExpectSamePredictions(*got[t].model, *want[t].model, KernelProbes(*tasks[t].x, t), "winner");
   }
-  // The batch refits at least one MLP winner (600 epochs) and one forest.
+  // The batch refits at least one MLP winner and one forest.
   auto wins = [&](const std::string& name) {
     return std::count_if(got.begin(), got.end(),
                          [&](const SharedSelectionResult& r) { return r.model_name == name; });
@@ -722,6 +723,206 @@ TEST(FitKernelSelectionTest, ModelerShapedBatchMatchesReferenceZoo) {
           << "task " << t << " factory " << f;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Early-exit selection. The reference below is the selection rule without any
+// bound: every fold of every factory, summed in fold order, strict `<` in zoo
+// order, winner refit on all data. The bounded selection must return the same
+// bits.
+// ---------------------------------------------------------------------------
+
+double ReferenceKFoldError(const RegressorFactory& factory,
+                           const std::vector<std::vector<double>>& x,
+                           const std::vector<double>& y, size_t folds) {
+  folds = std::min(folds, x.size());
+  double total_err = 0.0;
+  size_t total_count = 0;
+  for (size_t fold = 0; fold < folds; ++fold) {
+    std::vector<std::vector<double>> train_x, test_x;
+    std::vector<double> train_y, test_y;
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (i % folds == fold) {
+        test_x.push_back(x[i]);
+        test_y.push_back(y[i]);
+      } else {
+        train_x.push_back(x[i]);
+        train_y.push_back(y[i]);
+      }
+    }
+    auto model = factory();
+    model->Fit(train_x, train_y);
+    for (size_t i = 0; i < test_x.size(); ++i) {
+      double pred = model->Predict(test_x[i]);
+      double denom = std::max(std::abs(test_y[i]), 1e-6);
+      total_err += std::abs(pred - test_y[i]) / denom;
+      ++total_count;
+    }
+  }
+  return total_err / static_cast<double>(total_count);
+}
+
+ModelSelectionResult ReferenceSelection(const std::vector<RegressorFactory>& factories,
+                                        const std::vector<std::vector<double>>& x,
+                                        const std::vector<double>& y, size_t folds) {
+  ModelSelectionResult result;
+  result.cv_error = std::numeric_limits<double>::infinity();
+  size_t winner = factories.size();
+  for (size_t f = 0; f < factories.size(); ++f) {
+    double err = ReferenceKFoldError(factories[f], x, y, folds);
+    if (err < result.cv_error) {
+      result.cv_error = err;
+      winner = f;
+    }
+  }
+  MUDI_CHECK_LT(winner, factories.size());
+  result.model = factories[winner]();
+  result.model->Fit(x, y);
+  result.model_name = result.model->name();
+  return result;
+}
+
+// Forwards to another regressor under its own name, so one zoo can hold two
+// factories whose CV errors tie exactly.
+class RenamedRegressor : public Regressor {
+ public:
+  RenamedRegressor(std::unique_ptr<Regressor> inner, std::string name)
+      : inner_(std::move(inner)), name_(std::move(name)) {}
+  void Fit(const std::vector<std::vector<double>>& x, const std::vector<double>& y) override {
+    inner_->Fit(x, y);
+  }
+  double Predict(const std::vector<double>& x) const override { return inner_->Predict(x); }
+  std::string name() const override { return name_; }
+
+ private:
+  std::unique_ptr<Regressor> inner_;
+  std::string name_;
+};
+
+RegressorFactory RenamedLinear(const std::string& name) {
+  return [name] {
+    return std::unique_ptr<Regressor>(
+        std::make_unique<RenamedRegressor>(std::make_unique<LinearRegressor>(), name));
+  };
+}
+
+TEST(ModelSelectionTest, KFoldBoundStopsOnlyOnceThePrefixReachesIt) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeKernelDataset(30, 12, false, 77, &x, &y);
+  for (const RegressorFactory& factory : DefaultRegressorZoo()) {
+    const double want = ReferenceKFoldError(factory, x, y, 5);
+    size_t skipped = 99;
+    double unbounded = KFoldRelativeError(factory, x, y, 5,
+                                          std::numeric_limits<double>::infinity(), &skipped);
+    EXPECT_EQ(std::bit_cast<uint64_t>(unbounded), std::bit_cast<uint64_t>(want));
+    EXPECT_EQ(skipped, 0u);
+    EXPECT_EQ(std::bit_cast<uint64_t>(KFoldRelativeError(factory, x, y, 5)),
+              std::bit_cast<uint64_t>(want));
+    // Bounds below the full error: an exit reports a partial mean at or
+    // above the bound and never above the full error.
+    for (double scale : {0.05, 0.5, 0.999}) {
+      const double bound = want * scale;
+      double got = KFoldRelativeError(factory, x, y, 5, bound, &skipped);
+      EXPECT_GE(got, bound) << "scale " << scale;
+      EXPECT_LE(got, want) << "scale " << scale;
+      EXPECT_LT(skipped, 5u);
+    }
+    // A positive bound is never reached before the first fold.
+    KFoldRelativeError(factory, x, y, 5, want, &skipped);
+    EXPECT_LE(skipped, 4u);
+    // A zero bound is reached by the empty prefix: no fold is fitted.
+    EXPECT_EQ(KFoldRelativeError(factory, x, y, 5, 0.0, &skipped), 0.0);
+    EXPECT_EQ(skipped, 5u);
+    // A bound the full error never reaches runs every fold.
+    EXPECT_EQ(std::bit_cast<uint64_t>(KFoldRelativeError(factory, x, y, 5, want * 2.0 + 1.0,
+                                                         &skipped)),
+              std::bit_cast<uint64_t>(want));
+    EXPECT_EQ(skipped, 0u);
+  }
+}
+
+TEST(ModelSelectionTest, EarlyExitSelectionMatchesUnboundedReference) {
+  struct Case {
+    std::string label;
+    std::vector<std::vector<double>> x;
+    std::vector<double> y;
+  };
+  std::vector<Case> cases;
+  // The modeler's shape: 6 services × 4 curve parameters over 12 features.
+  for (size_t s = 0; s < 6; ++s) {
+    size_t n = 6 + 5 * s;
+    Case base{"service " + std::to_string(s), {}, {}};
+    MakeKernelDataset(n, 12, s % 3 == 0, 900 + s, &base.x, &base.y);
+    for (size_t p = 0; p < 4; ++p) {
+      Case c{base.label + " param " + std::to_string(p), base.x, base.y};
+      for (double& v : c.y) {
+        v = p == 2 ? 0.2 + 0.05 * v : v * (1.0 + 0.3 * static_cast<double>(p));
+      }
+      cases.push_back(std::move(c));
+    }
+  }
+  // Modeler-sized tasks (n = 30, d = 12) on seeds where the MLP wins while
+  // bounded by the other four, which themselves skip folds.
+  for (uint64_t seed : {uint64_t{10}, uint64_t{33}}) {
+    Case c{"mlp seed " + std::to_string(seed), {}, {}};
+    MakeKernelDataset(30, 12, false, seed, &c.x, &c.y);
+    cases.push_back(std::move(c));
+  }
+  // A constant target: the forest and kNN both predict it exactly, so the
+  // forest must win a 0-error tie and no later factory fits a single fold.
+  {
+    Case c{"constant", {}, {}};
+    MakeKernelDataset(20, 12, false, 31, &c.x, &c.y);
+    std::fill(c.y.begin(), c.y.end(), 3.0);
+    cases.push_back(std::move(c));
+  }
+
+  std::vector<FitTask> tasks;
+  for (const Case& c : cases) {
+    tasks.push_back(FitTask{&c.x, &c.y, 5});
+  }
+  const std::vector<RegressorFactory> zoo = DefaultRegressorZoo();
+  FitCache::Global().Clear();
+  auto batch = SelectBestModelsCached(zoo, tasks);
+  FitCache::Global().Clear();
+  ASSERT_EQ(batch.size(), cases.size());
+  size_t mlp_wins = 0;
+  size_t skipped = 0;
+  for (size_t t = 0; t < cases.size(); ++t) {
+    SCOPED_TRACE(cases[t].label);
+    ModelSelectionResult want = ReferenceSelection(zoo, cases[t].x, cases[t].y, 5);
+    ModelSelectionResult single = SelectBestModel(zoo, cases[t].x, cases[t].y, 5);
+    auto probes = KernelProbes(cases[t].x, t);
+    EXPECT_FALSE(batch[t].from_cache);
+    EXPECT_EQ(batch[t].model_name, want.model_name);
+    EXPECT_EQ(single.model_name, want.model_name);
+    EXPECT_EQ(std::bit_cast<uint64_t>(batch[t].cv_error), std::bit_cast<uint64_t>(want.cv_error));
+    EXPECT_EQ(std::bit_cast<uint64_t>(single.cv_error), std::bit_cast<uint64_t>(want.cv_error));
+    EXPECT_EQ(batch[t].cv_folds_skipped, single.cv_folds_skipped);
+    ExpectSamePredictions(*batch[t].model, *want.model, probes, "batch");
+    ExpectSamePredictions(*single.model, *want.model, probes, "single");
+    mlp_wins += want.model_name == "MLP" ? 1 : 0;
+    skipped += single.cv_folds_skipped;
+  }
+  EXPECT_EQ(batch.back().model_name, "RF");
+  EXPECT_EQ(batch.back().cv_folds_skipped, 5u * (zoo.size() - 1));
+  EXPECT_GE(mlp_wins, 2u);
+  EXPECT_GT(skipped, 0u);
+
+  // Two factories with identical fits on a linear target tie exactly, and
+  // the earlier one must keep the tie.
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  MakeDataset([](double a, double b) { return 2.0 * a + b + 5.0; }, 40, 33, &x, &y, 0.01);
+  const std::vector<RegressorFactory> twins = {
+      RenamedLinear("Linear-first"), zoo[2], RenamedLinear("Linear-second")};
+  ModelSelectionResult want = ReferenceSelection(twins, x, y, 5);
+  ModelSelectionResult got = SelectBestModel(twins, x, y, 5);
+  EXPECT_EQ(want.model_name, "Linear-first");
+  EXPECT_EQ(got.model_name, "Linear-first");
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.cv_error), std::bit_cast<uint64_t>(want.cv_error));
+  ExpectSamePredictions(*got.model, *want.model, KernelProbes(x, 5), "twins");
 }
 
 }  // namespace
